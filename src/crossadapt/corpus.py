@@ -155,25 +155,31 @@ class CorpusManifest:
     @classmethod
     def load(cls, path) -> "CorpusManifest":
         path = Path(path)
-        lines = path.read_text(encoding="utf-8").splitlines()
+        try:
+            lines = path.read_text(encoding="utf-8").splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise FileFormatError(f"cannot read corpus manifest {path}: {exc}") from exc
         if not lines or not lines[0].startswith("#crossadapt-corpus"):
             raise FileFormatError(f"{path} is not a corpus manifest")
-        header = dict(part.split("=", 1) for part in lines[0].split("\t")[1:])
         try:
+            header = dict(part.split("=", 1) for part in lines[0].split("\t")[1:])
             seed = int(header["seed"])
             fingerprint = header["fingerprint"]
         except KeyError as exc:
             raise FileFormatError(f"manifest header missing field {exc}") from exc
+        except ValueError as exc:
+            raise FileFormatError(f"malformed manifest header: {lines[0]!r}") from exc
         records = []
         for ln in lines[1:]:
             if not ln.strip():
                 continue
-            parts = ln.split("\t")
-            if len(parts) != 6:
-                raise FileFormatError(f"malformed manifest record: {ln!r}")
-            records.append(
-                ManifestRecord(parts[0], int(parts[1]), int(parts[2]), parts[3], parts[4], int(parts[5]))
-            )
+            try:
+                utt_id, speaker, domain, split, relpath, frames = ln.split("\t")
+                records.append(
+                    ManifestRecord(utt_id, int(speaker), int(domain), split, relpath, int(frames))
+                )
+            except ValueError as exc:  # wrong field count or a non-integer field
+                raise FileFormatError(f"malformed manifest record: {ln!r}") from exc
         speakers = {r.speaker_id for r in records}
         return cls(seed, len(speakers), fingerprint, records)
 

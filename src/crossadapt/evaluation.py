@@ -224,16 +224,22 @@ def write_report(path, report: EvalReport) -> None:
 
 
 def read_report(path) -> EvalReport:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FileFormatError(f"cannot read evaluation report {path}: {exc}") from exc
     if not lines or not lines[0].startswith("checkpoint="):
         raise FileFormatError(f"{path} is not an evaluation report")
-    head = dict(tok.split("=", 1) for tok in lines[0].split())
+    try:
+        head = dict(tok.split("=", 1) for tok in lines[0].split())
+    except ValueError as exc:
+        raise FileFormatError(f"malformed report header: {lines[0]!r}") from exc
     domains = []
     for ln in lines[1:]:
         if not ln.strip():
             continue
-        kv = dict(tok.split("=", 1) for tok in ln.split())
         try:
+            kv = dict(tok.split("=", 1) for tok in ln.split())
             domains.append(
                 DomainEval(int(kv["domain"].lstrip("d")), float(kv["eer"]),
                            int(kv["trials"]), int(kv["targets"]))

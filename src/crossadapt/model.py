@@ -13,6 +13,7 @@ All forward passes return caches sufficient for exact hand-derived
 backprop; every backward here is covered by ``numkit.grad_check``.
 """
 
+import functools
 import hashlib
 import io
 import struct
@@ -156,12 +157,29 @@ def _config_from_arch(vec: np.ndarray) -> ModelConfig:
 # ---------------------------------------------------------------------------
 # layer primitives (forward returns a cache, backward consumes it)
 
+@functools.lru_cache(maxsize=64)
+def _context_index(t: int, context: int) -> np.ndarray:
+    """Source row of each spliced slot [t x 2c+1], edges replicated.  Every
+    caller with the same shape shares the array, so it is read-only."""
+    idx = np.clip(np.arange(t)[:, None] + np.arange(-context, context + 1)[None, :], 0, t - 1)
+    idx.flags.writeable = False
+    return idx
+
+
+@functools.lru_cache(maxsize=64)
+def _scatter_index(t: int, context: int, d: int) -> np.ndarray:
+    """Flat position in the [t x d] input of each spliced value, in (t, j, d) order."""
+    flat = (_context_index(t, context)[:, :, None] * d + np.arange(d)).ravel()
+    flat.flags.writeable = False
+    return flat
+
+
 def splice_forward(x, context: int):
     """Stack each frame with +-context neighbours, replicating edges."""
     t = x.shape[0]
     if context == 0:
         return x, (x.shape, None)
-    idx = np.clip(np.arange(t)[:, None] + np.arange(-context, context + 1)[None, :], 0, t - 1)
+    idx = _context_index(t, context)
     return x[idx].reshape(t, -1), (x.shape, idx)
 
 
@@ -169,9 +187,10 @@ def splice_backward(dy, cache):
     shape, idx = cache
     if idx is None:
         return dy
-    dx = np.zeros(shape)
-    np.add.at(dx, idx, dy.reshape(idx.shape[0], idx.shape[1], shape[1]))
-    return dx
+    # bincount adds each input value's slots from 0.0 in (t, j, d) order, the
+    # order np.add.at uses, so the sums are bit-identical to a scatter-add
+    flat = _scatter_index(shape[0], idx.shape[1] // 2, shape[1])
+    return np.bincount(flat, weights=dy.ravel(), minlength=shape[0] * shape[1]).reshape(shape)
 
 
 def affine_forward(x, w, b):

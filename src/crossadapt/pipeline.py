@@ -55,9 +55,10 @@ class TrainState:
 
 
 def load_feature_store(manifest: CorpusManifest, root) -> dict:
-    """Read every referenced feature file once; the corpus is desk-scale."""
+    """Read every train-split feature file once; training samples only from
+    the train split, and the corpus is desk-scale."""
     root = Path(root)
-    return {r.utt_id: read_features(root / r.relpath) for r in manifest.records}
+    return {r.utt_id: read_features(root / r.relpath) for r in manifest.select(split="train")}
 
 
 def crop_utterance(features: np.ndarray, crop_frames: int, rng) -> np.ndarray:

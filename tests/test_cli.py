@@ -146,6 +146,34 @@ class TestExitCodes:
         rc = main(["-q", "report", "--baseline", str(single), "--adapted", str(env["ad_rep"])])
         assert rc == 2
 
+    @pytest.mark.parametrize("mangle", [
+        lambda text: text.replace("\tfingerprint=", "\tfingerprint", 1),
+        lambda text: text.replace("\tseed=11\t", "\tseed=eleven\t", 1),
+        lambda text: text.replace("\t30\n", "\tthirty\n", 1),
+    ], ids=["header-token-without-equals", "non-integer-seed", "non-integer-record-field"])
+    def test_malformed_manifest_exits_2(self, env, tmp_path, mangle):
+        text = (env["corpus"] / "manifest.tsv").read_text()
+        assert mangle(text) != text
+        (tmp_path / "manifest.tsv").write_text(mangle(text))
+        rc = main(["-q", "evaluate", "--ckpt", str(env["ft"]), "--corpus", str(tmp_path),
+                   "--out", str(tmp_path / "r.report")])
+        assert rc == 2
+
+    def test_missing_manifest_exits_2(self, env, tmp_path):
+        rc = main(["-q", "pretrain", "--config", str(env["config"]), "--corpus", str(tmp_path),
+                   "--out", str(tmp_path / "x.ckpt")])
+        assert rc == 2
+
+    @pytest.mark.parametrize("mangle", [
+        lambda text: text.replace("stage=", "stage ", 1),
+        lambda text: text.replace("trials=", "trials ", 1),
+    ], ids=["header", "domain-line"])
+    def test_report_token_without_equals_exits_2(self, env, tmp_path, mangle):
+        bad = tmp_path / "bad.report"
+        bad.write_text(mangle(env["ad_rep"].read_text()))
+        rc = main(["-q", "report", "--baseline", str(env["base_rep"]), "--adapted", str(bad)])
+        assert rc == 2
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_blowup_exits_3(self, env, tmp_path):
         # f64-finite feature values that overflow the f32 payload to inf,

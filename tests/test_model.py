@@ -84,7 +84,59 @@ class TestExtractor:
         assert set(grads) == {"g4.W", "g4.b"}
 
 
+def reference_splice_forward(x, context):
+    """The splice as first written: the context index rebuilt on every call."""
+    t = x.shape[0]
+    if context == 0:
+        return x, (x.shape, None)
+    idx = np.clip(np.arange(t)[:, None] + np.arange(-context, context + 1)[None, :], 0, t - 1)
+    return x[idx].reshape(t, -1), (x.shape, idx)
+
+
+def reference_splice_backward(dy, cache):
+    """The splice gradient as first written: one unbuffered scatter-add."""
+    shape, idx = cache
+    if idx is None:
+        return dy
+    dx = np.zeros(shape)
+    np.add.at(dx, idx, dy.reshape(idx.shape[0], idx.shape[1], shape[1]))
+    return dx
+
+
 class TestSplice:
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_kernels_match_reference_bit_for_bit(self, t, d, context, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(t, d))
+        y, cache = splice_forward(x, context)
+        y_ref, cache_ref = reference_splice_forward(x, context)
+        assert y.tobytes() == y_ref.tobytes()
+        assert cache[0] == cache_ref[0] and np.array_equal(cache[1], cache_ref[1])
+        # mixed magnitudes make the summation order visible in the last bits;
+        # exact zeros and -0.0 probe the sign of each sum's 0.0 start
+        dy = rng.normal(size=y.shape) * 10.0 ** rng.integers(-8, 9, size=y.shape)
+        dy[rng.random(size=y.shape) < 0.2] = 0.0
+        dy[rng.random(size=y.shape) < 0.2] = -0.0
+        dx = splice_backward(dy, cache)
+        assert dx.shape == x.shape
+        assert dx.tobytes() == reference_splice_backward(dy, cache_ref).tobytes()
+
+    def test_all_negative_zero_gradient_sums_to_positive_zero(self):
+        _, cache = splice_forward(np.ones((3, 2)), 2)
+        dx = splice_backward(np.full((3, 10), -0.0), cache)
+        assert not np.signbit(dx).any()
+
+    def test_shared_context_index_is_read_only(self, rng):
+        _, (_, idx) = splice_forward(rng.normal(size=(6, 2)), 1)
+        with pytest.raises(ValueError):
+            idx[0, 0] = 5
+
     @given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=3))
     @settings(max_examples=25)
     def test_splice_shapes_and_gradient(self, t, context):

@@ -88,6 +88,11 @@ class TestCrop:
 
 
 class TestSampling:
+    def test_feature_store_holds_exactly_the_train_split(self, chain):
+        manifest = CorpusManifest.load(chain["corpus"] / "manifest.tsv")
+        store = load_feature_store(manifest, chain["corpus"])
+        assert set(store) == {r.utt_id for r in manifest.records if r.split == "train"}
+
     def test_clean_only_restricts_domain(self, chain):
         cfg = chain["cfg"]
         manifest = CorpusManifest.load(chain["corpus"] / "manifest.tsv")
