@@ -14,15 +14,15 @@ from pathlib import Path
 
 from . import pipeline
 from .config import load_config
-from .corpus import CorpusManifest, gen_corpus, make_trials, write_trials
+from .corpus import CorpusManifest, gen_corpus
 from .errors import ContractError, NumericError
 from .evaluation import (
     EvalReport,
+    compare_domains,
     evaluate_domain,
     evaluate_model,
     format_table,
     read_report,
-    relative_decrease,
     write_report,
 )
 from .model import load_checkpoint
@@ -49,12 +49,8 @@ def cmd_gen_corpus(args) -> int:
         list(c.domains), input_dim=c.input_dim, identity_dim=c.identity_dim,
         id_scale=c.id_scale, sess_scale=c.sess_scale, frame_sd=c.frame_sd, ar_rho=c.ar_rho,
     )
-    out = Path(args.out)
-    for d in range(manifest.num_domains):
-        if manifest.select(d, "enroll") and manifest.select(d, "test"):
-            write_trials(out / f"trials_d{d}.txt", make_trials(manifest, d))
     log.info("wrote %d utterances across %d domains to %s",
-             len(manifest.records), manifest.num_domains, out)
+             len(manifest.records), manifest.num_domains, args.out)
     return 0
 
 
@@ -91,17 +87,12 @@ def cmd_evaluate(args) -> int:
 def cmd_report(args) -> int:
     baseline = read_report(args.baseline)
     adapted = read_report(args.adapted)
-    table = format_table(adapted, baseline)
-    sys.stdout.write(table)
+    sys.stdout.write(format_table(adapted, baseline))
     if args.out:
-        base_by, new_by = baseline.by_domain(), adapted.by_domain()
         lines = [f"baseline={baseline.checkpoint} adapted={adapted.checkpoint}\n"]
-        for d in sorted(new_by):
-            base = base_by[d].eer
-            rd = f"{relative_decrease(base, new_by[d].eer):.10g}" if base > 0 else "n/a"
-            lines.append(
-                f"domain=d{d} baseline_eer={base:.10g} adapted_eer={new_by[d].eer:.10g} rd={rd}\n"
-            )
+        for d, base, eer, rd in compare_domains(adapted, baseline):
+            rd = "n/a" if rd is None else f"{rd:.10g}"
+            lines.append(f"domain=d{d} baseline_eer={base:.10g} adapted_eer={eer:.10g} rd={rd}\n")
         Path(args.out).write_text("".join(lines), encoding="utf-8")
     return 0
 

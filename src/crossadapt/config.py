@@ -48,7 +48,6 @@ DEFAULTS = {
         "steps": 120,
         "batch_size": 16,
         "crop_frames": 60,
-        "checkpoint_every": 0,
         "seed": None,
         "schedule": {"noam_dim": 64, "noam_warmup": 150},
     },
@@ -56,7 +55,6 @@ DEFAULTS = {
         "steps": 600,
         "batch_size": 16,
         "crop_frames": 60,
-        "checkpoint_every": 0,
         "seed": None,
         "schedule": {"noam_dim": 64, "noam_warmup": 150},
     },
@@ -67,7 +65,6 @@ DEFAULTS = {
         "crop_frames": 60,
         "kernel": "linear",
         "bandwidth": None,
-        "checkpoint_every": 0,
         "seed": None,
         "schedule": {"lr0": 0.001},
     },
@@ -93,7 +90,6 @@ class StageConfig:
     tgt_batch_size: int = 0
     kernel: str = "linear"
     bandwidth: float = None
-    checkpoint_every: int = 0
 
     def __post_init__(self):
         if self.steps < 1:
@@ -230,7 +226,6 @@ def _stage(name: str, section: dict, app_seed: int) -> StageConfig:
         crop_frames=_as_int(section["crop_frames"], f"{name}.crop_frames"),
         schedule=_schedule(section["schedule"]),
         seed=_as_int(seed, f"{name}.seed"),
-        checkpoint_every=_as_int(section["checkpoint_every"], f"{name}.checkpoint_every"),
     )
     if name == "adapt":
         bw = section["bandwidth"]
@@ -294,9 +289,12 @@ def apply_overrides(raw: dict, sets, seed=None) -> dict:
 def load_config(path=None, sets=None, seed=None) -> AppConfig:
     """Load the YAML config (all-defaults when ``path`` is None) and build it."""
     raw = {}
-    if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
-        raw = yaml.safe_load(text) or {}
-        if not isinstance(raw, dict):
-            raise ContractError(f"{path} does not hold a config mapping")
-    return build_config(apply_overrides(raw, sets, seed))
+    try:
+        if path is not None:
+            raw = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+            if not isinstance(raw, dict):
+                raise ContractError(f"{path} does not hold a config mapping")
+        raw = apply_overrides(raw, sets, seed)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ContractError(f"cannot load config: {exc}") from exc
+    return build_config(raw)

@@ -39,7 +39,6 @@ DOMAIN_KINDS = ("clean", "channel", "farfield", "noisy")
 
 __all__ = [
     "DomainSpec",
-    "Utterance",
     "ManifestRecord",
     "CorpusManifest",
     "TrialPair",
@@ -47,8 +46,6 @@ __all__ = [
     "apply_domain_transform",
     "split_counts",
     "make_trials",
-    "write_trials",
-    "read_trials",
     "write_features",
     "read_features",
     "read_feature_header",
@@ -96,15 +93,6 @@ class DomainSpec:
         if self.kind == "noisy":
             return f"noisy:snr_db={self.snr_db:.6g}"
         return "clean"
-
-
-@dataclass
-class Utterance:
-    utt_id: str
-    speaker_id: int
-    domain_id: int
-    split: str
-    features: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -232,15 +220,22 @@ def _read_header(fh, path):
     return t, d
 
 
+def _open_features(path):
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise FileFormatError(f"cannot read feature file {path}: {exc}") from exc
+
+
 def read_feature_header(path):
     """Frame and dim counts from the header alone; payload left unread."""
-    with open(path, "rb") as fh:
+    with _open_features(path) as fh:
         return _read_header(fh, path)
 
 
 def read_features(path) -> np.ndarray:
     """Read a feature file back as float64 [T x D]."""
-    with open(path, "rb") as fh:
+    with _open_features(path) as fh:
         t, d = _read_header(fh, path)
         payload = _read_exact(fh, 4 * t * d, "payload")
         if fh.read(1):
@@ -400,22 +395,3 @@ def make_trials(manifest: CorpusManifest, domain_id: int):
         for e in enroll
         for t in test
     ]
-
-
-def write_trials(path, trials) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for tr in trials:
-            fh.write(f"{tr.enroll_utt} {tr.test_utt} {int(tr.is_target)}\n")
-
-
-def read_trials(path):
-    trials = []
-    with open(path, encoding="utf-8") as fh:
-        for ln in fh:
-            if not ln.strip():
-                continue
-            parts = ln.split()
-            if len(parts) != 3 or parts[2] not in ("0", "1"):
-                raise FileFormatError(f"malformed trial line: {ln!r}")
-            trials.append(TrialPair(parts[0], parts[1], parts[2] == "1"))
-    return trials

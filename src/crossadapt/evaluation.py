@@ -21,8 +21,7 @@ import numpy as np
 
 from .corpus import CorpusManifest, make_trials, read_features
 from .errors import ContractError, FileFormatError, StructuralError, UnknownDomainError
-
-STAGES = ("pretrain", "finetune", "adapt")
+from .model import STAGES
 
 __all__ = [
     "ScoreRecord",
@@ -34,6 +33,7 @@ __all__ = [
     "score_trials",
     "compute_eer",
     "relative_decrease",
+    "compare_domains",
     "evaluate_domain",
     "evaluate_model",
     "write_report",
@@ -249,25 +249,32 @@ def read_report(path) -> EvalReport:
     return EvalReport(head["checkpoint"], head.get("stage", "?"), domains)
 
 
+def compare_domains(new: EvalReport, baseline: EvalReport):
+    """``(domain_id, baseline EER, new EER, RD)`` per domain in id order; RD
+    is None where the baseline EER is 0."""
+    new_by, base_by = new.by_domain(), baseline.by_domain()
+    if set(base_by) != set(new_by):
+        raise ContractError("baseline and new reports cover different domains")
+    rows = []
+    for d in sorted(new_by):
+        base, eer = base_by[d].eer, new_by[d].eer
+        rows.append((d, base, eer, relative_decrease(base, eer) if base > 0 else None))
+    return rows
+
+
 def format_table(new: EvalReport, baseline: EvalReport = None) -> str:
     """Per-domain EER table, with baseline and RD rows when supplied."""
     new_by = new.by_domain()
-    rows = []
     header = ["system"] + [f"d{d}" for d in sorted(new_by)]
-    if baseline is not None:
-        base_by = baseline.by_domain()
-        if set(base_by) != set(new_by):
-            raise ContractError("baseline and new reports cover different domains")
-        rows.append([f"baseline ({baseline.checkpoint})"]
-                    + [f"{100 * base_by[d].eer:.2f}%" for d in sorted(new_by)])
-    rows.append([f"adapted ({new.checkpoint})" if baseline else new.checkpoint]
-                + [f"{100 * new_by[d].eer:.2f}%" for d in sorted(new_by)])
-    if baseline is not None:
-        rd_row = ["RD"]
-        for d in sorted(new_by):
-            base = base_by[d].eer
-            rd_row.append(f"{relative_decrease(base, new_by[d].eer):.2f}%" if base > 0 else "n/a")
-        rows.append(rd_row)
+    if baseline is None:
+        rows = [[new.checkpoint] + [f"{100 * new_by[d].eer:.2f}%" for d in sorted(new_by)]]
+    else:
+        cmp = compare_domains(new, baseline)
+        rows = [
+            [f"baseline ({baseline.checkpoint})"] + [f"{100 * base:.2f}%" for _, base, _, _ in cmp],
+            [f"adapted ({new.checkpoint})"] + [f"{100 * eer:.2f}%" for _, _, eer, _ in cmp],
+            ["RD"] + ["n/a" if rd is None else f"{rd:.2f}%" for *_, rd in cmp],
+        ]
     widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
     fmt = "  ".join(f"{{:<{w}}}" for w in widths)
     out = [fmt.format(*header), fmt.format(*["-" * w for w in widths])]

@@ -32,10 +32,7 @@ __all__ = [
     "median_bandwidth",
     "mmd_pair",
     "mmd_pair_backward",
-    "mmd_loss",
-    "cross_entropy",
     "cross_entropy_grad",
-    "cls_loss",
     "total_loss",
 ]
 
@@ -233,7 +230,9 @@ def mmd_pair_backward(src, tgt, kernel: str = "linear", bandwidth=None, upstream
 # -- classification -----------------------------------------------------------
 
 
-def _softmax_ce(logits, labels):
+def cross_entropy_grad(logits, labels, upstream: float = 1.0):
+    """Mean negative log softmax probability of the true class, and its
+    gradient: returns ``(loss, dlogits)`` with dlogits ``(softmax - onehot) / batch``."""
     logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
     labels = np.asarray(labels)
     n, c = logits.shape
@@ -244,22 +243,8 @@ def _softmax_ce(logits, labels):
     shifted = logits - logits.max(axis=1, keepdims=True)
     logz = np.log(np.sum(np.exp(shifted), axis=1))
     loss = float(np.mean(logz - shifted[np.arange(n), labels]))
-    probs = np.exp(shifted - logz[:, None])
-    return loss, probs
-
-
-def cross_entropy(logits, labels) -> float:
-    """Mean negative log softmax probability of the true class."""
-    loss, _ = _softmax_ce(logits, labels)
-    return loss
-
-
-def cross_entropy_grad(logits, labels, upstream: float = 1.0):
-    """Returns (loss, dlogits); dlogits is (softmax - onehot) / batch."""
-    loss, probs = _softmax_ce(logits, labels)
-    n = probs.shape[0]
-    dlogits = probs.copy()
-    dlogits[np.arange(n), np.asarray(labels)] -= 1.0
+    dlogits = np.exp(shifted - logz[:, None])
+    dlogits[np.arange(n), labels] -= 1.0
     return loss, upstream * dlogits / n
 
 
@@ -273,31 +258,6 @@ def _encode_batch(model, utts):
         embs.append(emb)
         caches.append(cache)
     return np.vstack([e.reshape(1, -1) for e in embs]), caches
-
-
-def cls_loss(batch: DomainBatch, model) -> float:
-    """Summed per-domain classifier cross-entropy on in-domain samples."""
-    batch.validate(model.config.num_speakers, model.config.subnet.num_domains)
-    total = 0.0
-    for h in range(batch.num_domains):
-        embs, _ = _encode_batch(model, batch.tgt_utts[h])
-        back, _ = model.subnet_forward(embs, h, "full")
-        logits, _ = model.classifier_forward(back, h)
-        total += cross_entropy(logits, batch.tgt_labels[h])
-    return total
-
-
-def mmd_loss(batch: DomainBatch, model, kernel: str = "linear", bandwidth=None) -> float:
-    """Per-domain MMD between clean and in-domain back outputs, summed."""
-    batch.validate(model.config.num_speakers, model.config.subnet.num_domains)
-    src_embs, _ = _encode_batch(model, batch.src_utts)
-    total = 0.0
-    for h in range(batch.num_domains):
-        src_back, _ = model.subnet_forward(src_embs, h, "full")
-        tgt_embs, _ = _encode_batch(model, batch.tgt_utts[h])
-        tgt_back, _ = model.subnet_forward(tgt_embs, h, "full")
-        total += mmd_pair(src_back, tgt_back, kernel, bandwidth)
-    return total
 
 
 def total_loss(

@@ -468,7 +468,7 @@ class Model:
             _accum(grads, f"{layer}.b", db)
         return dh
 
-    def classifier_forward(self, emb, domain: int, mode: str = "train"):
+    def classifier_forward(self, emb, domain: int):
         """Affine map from domain embedding space to speaker logits."""
         self._check_domain(domain)
         emb = np.atleast_2d(np.asarray(emb, dtype=np.float64))
@@ -482,7 +482,7 @@ class Model:
         _accum(grads, f"cls{domain}.b", db)
         return demb
 
-    def head_forward(self, emb, mode: str = "train"):
+    def head_forward(self, emb):
         """Shared softmax head used by the pretrain and fine-tune stages."""
         emb = np.atleast_2d(np.asarray(emb, dtype=np.float64))
         logits, af_cache = affine_forward(emb, self.params["head.W"], self.params["head.b"])
@@ -585,7 +585,11 @@ def load_checkpoint(path, expected_config: ModelConfig = None):
     The stored fingerprint is verified against the architecture embedded in
     the file, and against ``expected_config`` when one is supplied.
     """
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise FileFormatError(f"cannot read checkpoint {path}: {exc}") from exc
+    with fh:
         if _read_exact(fh, 4, "magic") != CHECKPOINT_MAGIC:
             raise BadMagicError("not a checkpoint file (bad magic)")
         (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))

@@ -63,7 +63,6 @@ class ScheduleConfig:
     steepness: float = 10.0
     noam_dim: int = 256
     noam_warmup: int = 4000
-    noam_factor: float = 1.0
 
     def __post_init__(self):
         if self.lr0 <= 0:
@@ -167,13 +166,12 @@ def noam_lr(step: int, cfg: ScheduleConfig) -> float:
     """Warmup-then-decay learning rate; peaks exactly at ``step == warmup``."""
     if step < 1:
         raise ContractError("noam_lr requires step >= 1")
-    scale = cfg.noam_factor * cfg.noam_dim**-0.5
-    return scale * min(step**-0.5, step * cfg.noam_warmup**-1.5)
+    return cfg.noam_dim**-0.5 * min(step**-0.5, step * cfg.noam_warmup**-1.5)
 
 
 def noam_peak(cfg: ScheduleConfig) -> float:
     """The maximum value of the warmup schedule (attained at step=warmup)."""
-    return cfg.noam_factor * cfg.noam_dim**-0.5 * cfg.noam_warmup**-0.5
+    return cfg.noam_dim**-0.5 * cfg.noam_warmup**-0.5
 
 
 def grad_check(f, point, eps: float = 1e-5) -> float:

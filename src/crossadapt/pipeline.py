@@ -14,7 +14,6 @@ byte for byte.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,6 @@ from .rng import substream
 log = logging.getLogger("crossadapt")
 
 __all__ = [
-    "TrainState",
     "load_feature_store",
     "crop_utterance",
     "sample_supervised",
@@ -39,19 +37,6 @@ __all__ = [
     "finetune",
     "adapt",
 ]
-
-
-@dataclass
-class TrainState:
-    """Mutable per-run training bookkeeping."""
-
-    step: int = 0
-    optim: OptimState = field(default_factory=OptimState)
-    loss_avg: float = None
-    checkpoint_every: int = 0
-
-    def observe(self, loss: float) -> None:
-        self.loss_avg = loss if self.loss_avg is None else 0.9 * self.loss_avg + 0.1 * loss
 
 
 def load_feature_store(manifest: CorpusManifest, root) -> dict:
@@ -107,43 +92,52 @@ def sample_batches(manifest, store, rng, cfg: StageConfig) -> DomainBatch:
     return DomainBatch(src, src_labels, tgt, tgt_labels)
 
 
-# -- supervised stages ----------------------------------------------------------
+# -- the training loop ------------------------------------------------------------
 
 
-def _check_finite(value: float, stage: str, step: int) -> None:
-    if not np.isfinite(value):
-        raise NumericError(f"{stage}: non-finite loss at step {step}")
+def _train(model, stage, cfg: StageConfig, step, lr_at, out_path):
+    """The one optimizer loop of all three stages; returns the trained model.
 
-
-def _run_supervised(model, manifest, store, cfg, stage, lr_at, down_to, out_path):
+    ``step(k, rng, grads)`` samples step k's batch from ``rng``, accumulates
+    the gradients of its objective into ``grads`` and returns ``(loss,
+    detail)``, where ``detail`` is extra text for the progress log.
+    ``lr_at(k)`` is the base learning rate of step k. The checkpoint is
+    written once, after the last step.
+    """
     groups = set_trainable(model, stage)
     names = trainable_names(groups)
-    state = TrainState(checkpoint_every=cfg.checkpoint_every)
+    optim = OptimState()
     rng = substream(cfg.seed, stage, "batches")
     log_every = max(1, cfg.steps // 10)
+    loss_avg = None
     for k in range(cfg.steps):
-        feats, labels = sample_supervised(manifest, store, rng, cfg, clean_only=stage == "finetune")
-        embs, caches = [], []
-        for x in feats:
-            e, c = model.encode(x)
-            embs.append(e)
-            caches.append(c)
+        grads = {}
+        loss, detail = step(k, rng, grads)
+        if not np.isfinite(loss):
+            raise NumericError(f"{stage}: non-finite loss at step {k + 1}")
+        adam_step(groups, {n: grads[n] for n in names}, optim, lr_at(k))
+        loss_avg = loss if loss_avg is None else 0.9 * loss_avg + 0.1 * loss
+        if (k + 1) % log_every == 0:
+            log.info("%s step %d/%d loss %.4f%s", stage, k + 1, cfg.steps, loss_avg, detail)
+    save_checkpoint(out_path, model, stage, cfg.steps)
+    return model
+
+
+def _supervised_step(model, manifest, store, cfg: StageConfig, clean_only: bool, down_to: int):
+    """Softmax-head step of pretrain and finetune; the trunk backward stops
+    at group ``down_to``."""
+
+    def step(k, rng, grads):
+        feats, labels = sample_supervised(manifest, store, rng, cfg, clean_only=clean_only)
+        embs, caches = zip(*(model.encode(x) for x in feats))
         logits, head_cache = model.head_forward(np.vstack(embs))
         loss, dlogits = cross_entropy_grad(logits, labels)
-        _check_finite(loss, stage, k + 1)
-        grads = {}
         demb = model.head_backward(dlogits, head_cache, grads)
         for i, cache in enumerate(caches):
             model.encode_backward(demb[i], cache, grads, down_to_group=down_to)
-        adam_step(groups, {n: grads[n] for n in names}, state.optim, lr_at(k))
-        state.step += 1
-        state.observe(loss)
-        if (k + 1) % log_every == 0:
-            log.info("%s step %d/%d loss %.4f", stage, k + 1, cfg.steps, state.loss_avg)
-        if state.checkpoint_every and (k + 1) % state.checkpoint_every == 0:
-            save_checkpoint(out_path, model, stage, state.step)
-    save_checkpoint(out_path, model, stage, state.step)
-    return model, state
+        return loss, ""
+
+    return step
 
 
 def pretrain(corpus_root, app: AppConfig, out_path):
@@ -163,10 +157,8 @@ def pretrain(corpus_root, app: AppConfig, out_path):
     )
     store = load_feature_store(manifest, corpus_root)
     _seed_dictionary(model, manifest, store, cfg.seed)
-    return _run_supervised(
-        model, manifest, store, cfg, "pretrain",
-        lr_at=lambda k: noam_lr(k + 1, cfg.schedule), down_to=1, out_path=out_path,
-    )
+    step = _supervised_step(model, manifest, store, cfg, clean_only=False, down_to=1)
+    return _train(model, "pretrain", cfg, step, lambda k: noam_lr(k + 1, cfg.schedule), out_path)
 
 
 def _seed_dictionary(model, manifest, store, seed: int) -> None:
@@ -194,10 +186,8 @@ def finetune(init_ckpt, corpus_root, app: AppConfig, out_path):
     cfg = app.finetune
     lr = 0.1 * noam_peak(app.pretrain.schedule)
     store = load_feature_store(manifest, corpus_root)
-    return _run_supervised(
-        model, manifest, store, cfg, "finetune",
-        lr_at=lambda k: lr, down_to=4, out_path=out_path,
-    )
+    step = _supervised_step(model, manifest, store, cfg, clean_only=True, down_to=4)
+    return _train(model, "finetune", cfg, step, lambda k: lr, out_path)
 
 
 def adapt(init_ckpt, corpus_root, app: AppConfig, out_path):
@@ -218,33 +208,21 @@ def adapt(init_ckpt, corpus_root, app: AppConfig, out_path):
         )
     cfg = app.adapt
     model.ensure_subnets(cfg.seed)
-    groups = set_trainable(model, "adapt")
-    names = trainable_names(groups)
-    state = TrainState(checkpoint_every=cfg.checkpoint_every)
-    rng = substream(cfg.seed, "adapt", "batches")
     store = load_feature_store(manifest, corpus_root)
-    log_every = max(1, cfg.steps // 10)
-    for k in range(cfg.steps):
-        # progress runs exactly 0 -> 1 across the configured steps
-        p = k / (cfg.steps - 1) if cfg.steps > 1 else 1.0
+
+    def progress(k):
+        # runs exactly 0 -> 1 across the configured steps
+        return k / (cfg.steps - 1) if cfg.steps > 1 else 1.0
+
+    def step(k, rng, grads):
         batch = sample_batches(manifest, store, rng, cfg)
-        grads = {}
-        breakdown = total_loss(
-            batch, model, p,
+        out = total_loss(
+            batch, model, progress(k),
             kernel=cfg.kernel, bandwidth=cfg.bandwidth,
             steepness=cfg.schedule.steepness, grads=grads, down_to_group=4,
         )
-        _check_finite(breakdown.total, "adapt", k + 1)
-        adam_step(groups, {n: grads[n] for n in names}, state.optim, inv_decay_lr(p, cfg.schedule))
-        state.step += 1
-        state.observe(breakdown.total)
-        if (k + 1) % log_every == 0:
-            log.info(
-                "adapt step %d/%d total %.4f (dis %.4f mmd %.4f cls %.4f mu %.3f)",
-                k + 1, cfg.steps, breakdown.total, breakdown.dis, breakdown.mmd,
-                breakdown.cls, breakdown.mu,
-            )
-        if state.checkpoint_every and (k + 1) % state.checkpoint_every == 0:
-            save_checkpoint(out_path, model, "adapt", state.step)
-    save_checkpoint(out_path, model, "adapt", state.step)
-    return model, state
+        detail = f" (dis {out.dis:.4f} mmd {out.mmd:.4f} cls {out.cls:.4f} mu {out.mu:.3f})"
+        return out.total, detail
+
+    return _train(model, "adapt", cfg, step,
+                  lambda k: inv_decay_lr(progress(k), cfg.schedule), out_path)

@@ -25,7 +25,6 @@ from crossadapt.evaluation import (
 )
 from crossadapt.losses import (
     DomainBatch,
-    cross_entropy,
     cross_entropy_grad,
     discrepancy_loss,
     mmd_pair,

@@ -1,9 +1,12 @@
 """End-to-end CLI tests driven in-process through main(argv)."""
 
+import shutil
+
 import numpy as np
 import pytest
 
 from crossadapt.cli import main
+from crossadapt.corpus import CorpusManifest, make_trials
 from crossadapt.evaluation import read_report
 
 TINY_YAML = """\
@@ -54,11 +57,11 @@ def env(tmp_path_factory):
 
 class TestChain:
     def test_corpus_artifacts(self, env):
-        assert (env["corpus"] / "manifest.tsv").exists()
+        manifest = CorpusManifest.load(env["corpus"] / "manifest.tsv")
         for d in range(4):
-            trials = (env["corpus"] / f"trials_d{d}.txt").read_text().strip().splitlines()
             # 4 speakers x 1 enroll utt x (4 speakers x 2 test utts)
-            assert len(trials) == 32
+            assert len(make_trials(manifest, d)) == 32
+        assert not list(env["corpus"].glob("trials_d*.txt"))
 
     def test_checkpoints_written(self, env):
         for key in ("pre", "ft", "ad"):
@@ -158,6 +161,35 @@ class TestExitCodes:
         rc = main(["-q", "evaluate", "--ckpt", str(env["ft"]), "--corpus", str(tmp_path),
                    "--out", str(tmp_path / "r.report")])
         assert rc == 2
+
+    def test_missing_checkpoint_exits_2(self, env, tmp_path):
+        missing = str(tmp_path / "missing.ckpt")
+        rc = main(["-q", "evaluate", "--ckpt", missing, "--corpus", str(env["corpus"]),
+                   "--out", str(tmp_path / "r.report")])
+        assert rc == 2
+        rc = main(["-q", "finetune", "--config", str(env["config"]), "--init", missing,
+                   "--corpus", str(env["corpus"]), "--out", str(tmp_path / "x.ckpt")])
+        assert rc == 2
+        assert not (tmp_path / "x.ckpt").exists()
+
+    def test_missing_feature_file_exits_2(self, env, tmp_path):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(env["corpus"], corpus)
+        (corpus / "d0" / "s000_u000_d0.xdaf").unlink()
+        rc = main(["-q", "pretrain", "--config", str(env["config"]), "--corpus", str(corpus),
+                   "--out", str(tmp_path / "x.ckpt")])
+        assert rc == 2
+
+    @pytest.mark.parametrize("flags", [
+        lambda tmp: ["--config", str(tmp / "absent.yaml")],
+        lambda tmp: ["--config", str(tmp / "broken.yaml")],
+        lambda tmp: ["--set", "adapt.steps=[1"],
+    ], ids=["missing-config-file", "yaml-syntax-error-in-file", "yaml-syntax-error-in-set"])
+    def test_bad_config_input_exits_2(self, tmp_path, flags):
+        (tmp_path / "broken.yaml").write_text("corpus: [1\n")
+        rc = main(["-q", "gen-corpus", *flags(tmp_path), "--out", str(tmp_path / "c")])
+        assert rc == 2
+        assert not (tmp_path / "c").exists()
 
     def test_missing_manifest_exits_2(self, env, tmp_path):
         rc = main(["-q", "pretrain", "--config", str(env["config"]), "--corpus", str(tmp_path),

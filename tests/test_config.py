@@ -2,6 +2,7 @@
 
 import pytest
 
+from crossadapt.cli import main
 from crossadapt.config import StageConfig, apply_overrides, build_config, load_config
 from crossadapt.errors import ContractError
 from crossadapt.numkit import ScheduleConfig
@@ -41,6 +42,15 @@ class TestFileAndOverrides:
         f.write_text("adapt:\n  speed: 11\n")
         with pytest.raises(ContractError):
             load_config(f)
+
+    @pytest.mark.parametrize("item", [
+        "pretrain.checkpoint_every=5",
+        "pretrain.schedule={noam_factor: 2}",
+    ])
+    def test_removed_keys_rejected(self, tmp_path, item):
+        with pytest.raises(ContractError):
+            load_config(sets=[item])
+        assert main(["-q", "gen-corpus", "--set", item, "--out", str(tmp_path / "c")]) == 2
 
     def test_set_overrides(self):
         cfg = load_config(sets=["adapt.steps=500", "corpus.num_speakers=6"])

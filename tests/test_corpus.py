@@ -11,10 +11,8 @@ from crossadapt.corpus import (
     make_trials,
     read_feature_header,
     read_features,
-    read_trials,
     split_counts,
     write_features,
-    write_trials,
 )
 from crossadapt.errors import (
     BadMagicError,
@@ -74,6 +72,11 @@ class TestFeatureFiles:
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(FileFormatError):
             read_features(path)
+
+    @pytest.mark.parametrize("reader", [read_features, read_feature_header])
+    def test_missing_file_is_format_error(self, tmp_path, reader):
+        with pytest.raises(FileFormatError):
+            reader(tmp_path / "absent.xdaf")
 
     def test_non_finite_rejected(self, tmp_path):
         with pytest.raises(ContractError):
@@ -298,15 +301,3 @@ class TestTrials:
         man = self.make(tmp_path)
         with pytest.raises(UnknownDomainError):
             make_trials(man, 5)
-
-    def test_trial_file_round_trip(self, tmp_path):
-        man = self.make(tmp_path)
-        trials = make_trials(man, 1)
-        write_trials(tmp_path / "trials.txt", trials)
-        assert read_trials(tmp_path / "trials.txt") == trials
-
-    def test_malformed_trial_line(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("a b maybe\n")
-        with pytest.raises(FileFormatError):
-            read_trials(path)

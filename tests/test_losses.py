@@ -8,13 +8,10 @@ import pytest
 from crossadapt.errors import ContractError, StructuralError
 from crossadapt.losses import (
     DomainBatch,
-    cls_loss,
-    cross_entropy,
     cross_entropy_grad,
     discrepancy_backward,
     discrepancy_loss,
     median_bandwidth,
-    mmd_loss,
     mmd_pair,
     mmd_pair_backward,
     total_loss,
@@ -23,6 +20,19 @@ from crossadapt.model import Model
 from crossadapt.numkit import ParamGroup, OptimState, adam_step, grad_check
 
 from conftest import micro_config
+
+
+def brute_cls(batch, model):
+    """Summed per-domain classifier cross-entropy, one utterance at a time."""
+    total = 0.0
+    for h in range(batch.num_domains):
+        logits = []
+        for x in batch.tgt_utts[h]:
+            emb, _ = model.encode(x)
+            back, _ = model.subnet_forward(emb, h, "full")
+            logits.append(model.classifier_forward(back, h)[0][0])
+        total += cross_entropy_grad(np.array(logits), batch.tgt_labels[h])[0]
+    return total
 
 
 def make_batch(rng, input_dim=4, num_domains=2, n_src=3, n_tgt=3, frames=4, num_speakers=3):
@@ -195,16 +205,16 @@ class TestMmd:
 class TestCrossEntropy:
     def test_uniform_logits(self):
         logits = np.zeros((5, 4))
-        assert cross_entropy(logits, [0, 1, 2, 3, 0]) == pytest.approx(math.log(4.0), abs=1e-12)
+        assert cross_entropy_grad(logits, [0, 1, 2, 3, 0])[0] == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_confident_logit_vanishes(self):
         logits = np.zeros((1, 3))
         logits[0, 1] = 20.0
-        assert cross_entropy(logits, [1]) < 1e-8
+        assert cross_entropy_grad(logits, [1])[0] < 1e-8
 
     def test_out_of_range_label_rejected(self):
         with pytest.raises(ContractError):
-            cross_entropy(np.zeros((2, 3)), [0, 3])
+            cross_entropy_grad(np.zeros((2, 3)), [0, 3])
 
     def test_gradient_is_softmax_minus_onehot(self, rng):
         logits = rng.normal(size=(4, 5))
@@ -229,28 +239,19 @@ class TestCrossEntropy:
 class TestComposite:
     def test_cls_decomposes_per_domain(self, micro_model, rng):
         batch = make_batch(rng)
-        total = cls_loss(batch, micro_model)
-        brute = 0.0
-        for h in range(2):
-            logits = []
-            for x in batch.tgt_utts[h]:
-                emb, _ = micro_model.encode(x)
-                back, _ = micro_model.subnet_forward(emb, h, "full")
-                lg, _ = micro_model.classifier_forward(back, h)
-                logits.append(lg[0])
-            brute += cross_entropy(np.array(logits), batch.tgt_labels[h])
-        assert total == pytest.approx(brute, abs=1e-12)
+        total = total_loss(batch, micro_model, p=0.5).cls
+        assert total == pytest.approx(brute_cls(batch, micro_model), abs=1e-12)
 
     def test_zero_classifiers_give_uniform(self, micro_model, rng):
         batch = make_batch(rng)
         for h in range(2):
             micro_model.params[f"cls{h}.W"][:] = 0.0
             micro_model.params[f"cls{h}.b"][:] = 0.0
-        assert cls_loss(batch, micro_model) == pytest.approx(2.0 * math.log(3.0), abs=1e-12)
+        assert total_loss(batch, micro_model, p=0.5).cls == pytest.approx(2.0 * math.log(3.0), abs=1e-12)
 
     def test_mmd_loss_decomposes_per_domain(self, micro_model, rng):
         batch = make_batch(rng)
-        total = mmd_loss(batch, micro_model, "linear")
+        total = total_loss(batch, micro_model, p=0.5, kernel="linear").mmd
         brute = 0.0
         src = np.vstack([micro_model.encode(x)[0] for x in batch.src_utts])
         for h in range(2):
@@ -265,7 +266,7 @@ class TestComposite:
         out = total_loss(batch, micro_model, p=0.0)
         assert out.mu == 0.0
         assert out.total == out.cls
-        assert out.cls == pytest.approx(cls_loss(batch, micro_model), abs=1e-12)
+        assert out.cls == pytest.approx(brute_cls(batch, micro_model), abs=1e-12)
 
     @pytest.mark.parametrize("kernel", ["linear", "rbf"])
     def test_tied_subnets_identical_samples_reduce_to_cls(self, micro_model, rng, kernel):
@@ -316,11 +317,11 @@ class TestComposite:
         names = [n for n in model.params if n.startswith("cls")]
         group = ParamGroup("cls", {n: model.params[n] for n in names}, 1.0, False)
         state = OptimState()
-        prev = cls_loss(batch, model)
+        prev = total_loss(batch, model, p=0.0).cls
         for _ in range(50):
             grads = {}
             total_loss(batch, model, p=0.0, grads=grads)
             adam_step([group], {n: grads[n] for n in names}, state, base_lr=0.005, weight_decay=0.0)
-            cur = cls_loss(batch, model)
+            cur = total_loss(batch, model, p=0.0).cls
             assert cur < prev + 1e-12
             prev = cur

@@ -170,6 +170,14 @@ class TestPretrain:
         assert out.read_bytes() == chain["pre"].read_bytes()
 
 
+class TestChain:
+    def test_checkpoint_step_is_the_configured_step_count(self, chain):
+        for key, stage in (("pre", "pretrain"), ("ft", "finetune"), ("ad", "adapt")):
+            _, meta = load_checkpoint(chain[key])
+            assert meta.stage == stage
+            assert meta.step == getattr(chain["cfg"], stage).steps
+
+
 class TestFinetune:
     def test_requires_pretrain_stage(self, chain, tmp_path):
         with pytest.raises(ContractError):
