@@ -25,6 +25,7 @@ from .evaluation import (
     read_report,
     write_report,
 )
+from .fileio import write_artifact
 from .model import load_checkpoint
 
 log = logging.getLogger("crossadapt")
@@ -93,7 +94,7 @@ def cmd_report(args) -> int:
         for d, base, eer, rd in compare_domains(adapted, baseline):
             rd = "n/a" if rd is None else f"{rd:.10g}"
             lines.append(f"domain=d{d} baseline_eer={base:.10g} adapted_eer={eer:.10g} rd={rd}\n")
-        Path(args.out).write_text("".join(lines), encoding="utf-8")
+        write_artifact(args.out, "".join(lines).encode("utf-8"), "comparison")
     return 0
 
 

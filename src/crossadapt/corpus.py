@@ -1,4 +1,4 @@
-"""Synthetic multi-domain corpus: generation, transforms, splits, trials, I/O.
+"""Synthetic multi-domain corpus: generation, transforms, splits, I/O.
 
 Speakers are latent identity vectors projected into feature space by one
 fixed random matrix. A clean utterance is the speaker's projection plus a
@@ -27,9 +27,8 @@ from .errors import (
     ContractError,
     FileFormatError,
     StructuralError,
-    TruncatedFileError,
-    UnknownDomainError,
 )
+from .fileio import open_artifact, read_exact
 from .rng import substream
 
 FEATURE_MAGIC = b"XDAF"
@@ -45,7 +44,6 @@ __all__ = [
     "gen_corpus",
     "apply_domain_transform",
     "split_counts",
-    "make_trials",
     "write_features",
     "read_features",
     "read_feature_header",
@@ -203,41 +201,27 @@ def write_features(path, features) -> None:
         fh.write(payload)
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise TruncatedFileError(f"feature file ended inside {what}")
-    return data
-
-
 def _read_header(fh, path):
     magic = fh.read(4)
     if magic != FEATURE_MAGIC:
         raise BadMagicError(f"{path} is not a feature file (magic {magic!r})")
-    version, t, d = struct.unpack("<III", _read_exact(fh, 12, "header"))
+    version, t, d = struct.unpack("<III", read_exact(fh, 12, "header"))
     if version != FEATURE_VERSION:
         raise BadVersionError(f"unsupported feature file version {version}")
     return t, d
 
 
-def _open_features(path):
-    try:
-        return open(path, "rb")
-    except OSError as exc:
-        raise FileFormatError(f"cannot read feature file {path}: {exc}") from exc
-
-
 def read_feature_header(path):
     """Frame and dim counts from the header alone; payload left unread."""
-    with _open_features(path) as fh:
+    with open_artifact(path, "feature file") as fh:
         return _read_header(fh, path)
 
 
 def read_features(path) -> np.ndarray:
     """Read a feature file back as float64 [T x D]."""
-    with _open_features(path) as fh:
+    with open_artifact(path, "feature file") as fh:
         t, d = _read_header(fh, path)
-        payload = _read_exact(fh, 4 * t * d, "payload")
+        payload = read_exact(fh, 4 * t * d, "payload")
         if fh.read(1):
             raise FileFormatError(f"{path} has trailing bytes after payload")
     return np.frombuffer(payload, dtype="<f4").reshape(t, d).astype(np.float64)
@@ -377,21 +361,3 @@ def gen_corpus(
     manifest = CorpusManifest(seed, num_speakers, fingerprint, records)
     manifest.save(out_dir / "manifest.tsv")
     return manifest
-
-
-# -- trials -----------------------------------------------------------------------
-
-
-def make_trials(manifest: CorpusManifest, domain_id: int):
-    """Exhaustive enroll x test trials within one domain, lexicographic order."""
-    if domain_id < 0 or domain_id >= manifest.num_domains:
-        raise UnknownDomainError(f"domain {domain_id} not present in manifest")
-    enroll = sorted(manifest.select(domain_id, "enroll"), key=lambda r: r.utt_id)
-    test = sorted(manifest.select(domain_id, "test"), key=lambda r: r.utt_id)
-    if not enroll or not test:
-        raise ContractError(f"domain {domain_id} lacks enroll or test utterances")
-    return [
-        TrialPair(e.utt_id, t.utt_id, e.speaker_id == t.speaker_id)
-        for e in enroll
-        for t in test
-    ]

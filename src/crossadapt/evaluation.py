@@ -19,8 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import CorpusManifest, make_trials, read_features
+from .corpus import CorpusManifest, read_features
 from .errors import ContractError, FileFormatError, StructuralError, UnknownDomainError
+from .fileio import write_artifact
 from .model import STAGES
 
 __all__ = [
@@ -28,9 +29,9 @@ __all__ = [
     "DomainEval",
     "EvalReport",
     "embed_utterance",
-    "cosine_score",
     "enroll_speaker",
     "score_trials",
+    "equal_error_rate",
     "compute_eer",
     "relative_decrease",
     "compare_domains",
@@ -76,16 +77,6 @@ def embed_utterance(features, model, stage: str, domain_id: int) -> np.ndarray:
     return _normalize(np.mean(outs, axis=0))
 
 
-def cosine_score(e1, e2) -> float:
-    """Cosine of the angle between two nonzero vectors."""
-    e1 = np.asarray(e1, dtype=np.float64)
-    e2 = np.asarray(e2, dtype=np.float64)
-    n1, n2 = np.linalg.norm(e1), np.linalg.norm(e2)
-    if n1 <= 0.0 or n2 <= 0.0:
-        raise ContractError("cosine score undefined for zero vectors")
-    return float(e1 @ e2 / (n1 * n2))
-
-
 def enroll_speaker(embeddings) -> np.ndarray:
     """Speaker model: mean of enrollment embeddings, length-normalized."""
     if len(embeddings) == 0:
@@ -98,6 +89,8 @@ def enroll_speaker(embeddings) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScoreRecord:
+    """One scored trial; evaluation itself scores whole domains as arrays."""
+
     trial: object
     score: float
 
@@ -106,22 +99,34 @@ class ScoreRecord:
             raise ContractError(f"trial score {self.score} outside [-1, 1]")
 
 
-def score_trials(trials, enroll_vectors: dict, test_vectors: dict):
-    """Cosine-score every trial; vectors are keyed by utterance id."""
-    records = []
-    for tr in trials:
-        if tr.enroll_utt not in enroll_vectors:
-            raise StructuralError(f"no enrollment vector for {tr.enroll_utt}")
-        if tr.test_utt not in test_vectors:
-            raise StructuralError(f"no test embedding for {tr.test_utt}")
-        records.append(
-            ScoreRecord(tr, cosine_score(enroll_vectors[tr.enroll_utt], test_vectors[tr.test_utt]))
-        )
-    return records
+def score_trials(models, tests, model_rows) -> np.ndarray:
+    """Cosine scores of all trials, flat and enroll-major.
+
+    ``models`` is [S x E] and ``tests`` [N x E]; entry ``i * N + j`` scores
+    ``models[model_rows[i]]`` against ``tests[j]``. One gemm covers the
+    distinct rows of each side, so a score depends only on its two vectors:
+    trials that share a model or an identical embedding score exactly alike.
+    """
+    models = np.asarray(models, dtype=np.float64)
+    tests = np.asarray(tests, dtype=np.float64)
+    model_rows = np.asarray(model_rows, dtype=np.intp)
+    if models.ndim != 2 or tests.ndim != 2 or models.shape[1] != tests.shape[1]:
+        raise StructuralError(f"cannot score {models.shape} models against {tests.shape} tests")
+    if model_rows.ndim != 1 or np.any((model_rows < 0) | (model_rows >= len(models))):
+        raise StructuralError(f"trial rows must index the {len(models)} speaker models")
+    models, m_idx = np.unique(models, axis=0, return_inverse=True)
+    tests, t_idx = np.unique(tests, axis=0, return_inverse=True)
+    m_norm, t_norm = np.linalg.norm(models, axis=1), np.linalg.norm(tests, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scores = models @ tests.T / np.outer(m_norm, t_norm)
+    # a zero or non-finite vector leaves a non-finite score
+    if not np.all(np.isfinite(scores)) or np.any(np.abs(scores) > 1.0 + 1e-9):
+        raise ContractError("trial scores must be finite and within [-1, 1]")
+    return scores[m_idx.reshape(-1)[model_rows]][:, t_idx.reshape(-1)].reshape(-1)
 
 
-def compute_eer(records):
-    """Equal error rate and its threshold from scored trials.
+def equal_error_rate(target_scores, nontarget_scores):
+    """Equal error rate and its threshold from target and nontarget scores.
 
     Thresholds sweep the midpoints between adjacent distinct scores (plus
     sentinels past both ends); FAR counts nontargets at or above the
@@ -129,8 +134,8 @@ def compute_eer(records):
     FAR = FRR, the two bracketing points are joined linearly and the
     crossing value is returned; ties resolve to the lowest threshold.
     """
-    tar = np.sort([r.score for r in records if r.trial.is_target])
-    non = np.sort([r.score for r in records if not r.trial.is_target])
+    tar = np.sort(np.asarray(target_scores, dtype=np.float64))
+    non = np.sort(np.asarray(nontarget_scores, dtype=np.float64))
     if tar.size == 0 or non.size == 0:
         raise ContractError("EER needs at least one target and one nontarget trial")
     distinct = np.unique(np.concatenate([tar, non]))
@@ -148,6 +153,12 @@ def compute_eer(records):
     t = (f1 - r1) / ((f1 - r1) - (f2 - r2))
     eer = f1 + t * (f2 - f1)
     return float(eer), float(thresholds[j - 1] + t * (thresholds[j] - thresholds[j - 1]))
+
+
+def compute_eer(records):
+    """``equal_error_rate`` over ``ScoreRecord``s."""
+    tar = [r.score for r in records if r.trial.is_target]
+    return equal_error_rate(tar, [r.score for r in records if not r.trial.is_target])
 
 
 def relative_decrease(baseline_eer: float, new_eer: float) -> float:
@@ -182,29 +193,37 @@ class EvalReport:
         return {d.domain_id: d for d in self.domains}
 
 
-def evaluate_domain(model, stage, manifest: CorpusManifest, root, domain_id, trials=None):
-    """Score one domain's exhaustive trials and report its EER."""
-    if trials is None:
-        trials = make_trials(manifest, domain_id)
+def evaluate_domain(model, stage, manifest: CorpusManifest, root, domain_id):
+    """Score one domain's exhaustive enroll x test trials and report its EER.
+
+    Trials run enroll-major in utterance-id order; each enroll utterance
+    stands for its speaker's model, the normalized mean of the speaker's
+    enroll embeddings taken in manifest order.
+    """
+    if not 0 <= domain_id < manifest.num_domains:
+        raise UnknownDomainError(f"domain {domain_id} not present in manifest")
+    enroll = manifest.select(domain_id, "enroll")
+    test = sorted(manifest.select(domain_id, "test"), key=lambda r: r.utt_id)
+    if not enroll or not test:
+        raise ContractError(f"domain {domain_id} lacks enroll or test utterances")
     root = Path(root)
 
-    def embed_records(records):
-        return {
-            r.utt_id: embed_utterance(read_features(root / r.relpath), model, stage, domain_id)
-            for r in records
-        }
+    def embed(r):
+        return embed_utterance(read_features(root / r.relpath), model, stage, domain_id)
 
-    enroll_records = manifest.select(domain_id, "enroll")
-    test_vectors = embed_records(manifest.select(domain_id, "test"))
-    enroll_embs = embed_records(enroll_records)
     by_speaker = {}
-    for r in enroll_records:
-        by_speaker.setdefault(r.speaker_id, []).append(enroll_embs[r.utt_id])
-    models = {s: enroll_speaker(embs) for s, embs in by_speaker.items()}
-    enroll_vectors = {r.utt_id: models[r.speaker_id] for r in enroll_records}
-    records = score_trials(trials, enroll_vectors, test_vectors)
-    eer, _ = compute_eer(records)
-    return DomainEval(domain_id, eer, len(records), sum(r.trial.is_target for r in records))
+    for r in enroll:
+        by_speaker.setdefault(r.speaker_id, []).append(embed(r))
+    models = np.array([enroll_speaker(embs) for embs in by_speaker.values()])
+    row_of = {s: i for i, s in enumerate(by_speaker)}
+    trial_enroll = sorted(enroll, key=lambda r: r.utt_id)
+    rows = [row_of[r.speaker_id] for r in trial_enroll]
+    scores = score_trials(models, np.array([embed(r) for r in test]), rows)
+    is_target = np.equal.outer(
+        [r.speaker_id for r in trial_enroll], [r.speaker_id for r in test]
+    ).reshape(-1)
+    eer, _ = equal_error_rate(scores[is_target], scores[~is_target])
+    return DomainEval(domain_id, eer, scores.size, int(is_target.sum()))
 
 
 def evaluate_model(model, stage, manifest, root, checkpoint_id: str) -> EvalReport:
@@ -220,7 +239,7 @@ def write_report(path, report: EvalReport) -> None:
     lines = [f"checkpoint={report.checkpoint} stage={report.stage}\n"]
     for d in sorted(report.domains, key=lambda d: d.domain_id):
         lines.append(f"domain=d{d.domain_id} eer={d.eer:.10g} trials={d.n_trials} targets={d.n_targets}\n")
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    write_artifact(path, "".join(lines).encode("utf-8"), "evaluation report")
 
 
 def read_report(path) -> EvalReport:

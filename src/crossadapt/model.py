@@ -16,6 +16,7 @@ backprop; every backward here is covered by ``numkit.grad_check``.
 import functools
 import hashlib
 import io
+import math
 import struct
 from dataclasses import dataclass
 
@@ -29,9 +30,9 @@ from .errors import (
     FingerprintMismatchError,
     NumericError,
     StructuralError,
-    TruncatedFileError,
     UnknownDomainError,
 )
+from .fileio import open_artifact, read_exact, write_artifact
 from .numkit import ParamGroup
 from .rng import substream
 
@@ -236,7 +237,9 @@ def lde_pool(frames, dictionary, log_scale):
     # per-row softmax is strictly positive, but a component every frame is far
     # from can underflow to 0 mass; floor it so starved components pool to ~0
     mass = np.maximum(mass, np.finfo(np.float64).tiny)
-    agg = np.sort(w[:, :, None] * resid, axis=0).sum(axis=0) / mass[:, None]
+    contrib = w[:, :, None] * resid  # a fresh temporary: sort it in place
+    contrib.sort(axis=0)
+    agg = contrib.sum(axis=0) / mass[:, None]
     # normalized per-component weights (each column sums to 1, or to 0 for a
     # fully starved component); backward works in this scale so that 1/mass
     # never appears as a bare factor that could overflow
@@ -568,15 +571,7 @@ def save_checkpoint(path, model: Model, stage: str, step: int) -> None:
             buf.write(struct.pack("<I", d))
         buf.write(arr.tobytes())
     buf.write(model.config.fingerprint())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
-
-
-def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise TruncatedFileError(f"checkpoint truncated while reading {what}")
-    return data
+    write_artifact(path, buf.getvalue(), "checkpoint")
 
 
 def load_checkpoint(path, expected_config: ModelConfig = None):
@@ -585,32 +580,27 @@ def load_checkpoint(path, expected_config: ModelConfig = None):
     The stored fingerprint is verified against the architecture embedded in
     the file, and against ``expected_config`` when one is supplied.
     """
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise FileFormatError(f"cannot read checkpoint {path}: {exc}") from exc
-    with fh:
-        if _read_exact(fh, 4, "magic") != CHECKPOINT_MAGIC:
+    with open_artifact(path, "checkpoint") as fh:
+        if read_exact(fh, 4, "magic") != CHECKPOINT_MAGIC:
             raise BadMagicError("not a checkpoint file (bad magic)")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
+        (version,) = struct.unpack("<I", read_exact(fh, 4, "version"))
         if version != CHECKPOINT_VERSION:
             raise BadVersionError(f"unsupported checkpoint version {version}")
-        (stage_byte,) = struct.unpack("<B", _read_exact(fh, 1, "stage"))
+        (stage_byte,) = struct.unpack("<B", read_exact(fh, 1, "stage"))
         if stage_byte >= len(STAGES):
             raise FileFormatError(f"unknown stage byte {stage_byte}")
-        (step,) = struct.unpack("<Q", _read_exact(fh, 8, "step"))
-        (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
+        (step,) = struct.unpack("<Q", read_exact(fh, 8, "step"))
+        (count,) = struct.unpack("<I", read_exact(fh, 4, "tensor count"))
         tensors = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "tensor name length"))
-            name = _read_exact(fh, name_len, "tensor name").decode("utf-8")
-            (rank,) = struct.unpack("<B", _read_exact(fh, 1, "tensor rank"))
-            dims = [struct.unpack("<I", _read_exact(fh, 4, "tensor dims"))[0] for _ in range(rank)]
-            n_elem = int(np.prod(dims)) if dims else 1
-            payload = _read_exact(fh, 4 * n_elem, f"tensor {name} payload")
+            (name_len,) = struct.unpack("<H", read_exact(fh, 2, "tensor name length"))
+            name = read_exact(fh, name_len, "tensor name").decode("utf-8")
+            (rank,) = struct.unpack("<B", read_exact(fh, 1, "tensor rank"))
+            dims = [struct.unpack("<I", read_exact(fh, 4, "tensor dims"))[0] for _ in range(rank)]
+            payload = read_exact(fh, 4 * math.prod(dims), f"tensor {name} payload")
             arr = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float64)
             tensors[name] = arr
-        stored_fp = _read_exact(fh, 16, "fingerprint")
+        stored_fp = read_exact(fh, 16, "fingerprint")
         if fh.read(1):
             raise FileFormatError("trailing bytes after checkpoint fingerprint")
     if _ARCH_TENSOR not in tensors:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import AppConfig, StageConfig
 from .corpus import CorpusManifest, read_features
-from .errors import ContractError, NumericError, StructuralError
+from .errors import ContractError, FileFormatError, NumericError, StructuralError
 from .losses import DomainBatch, cross_entropy_grad, total_loss
 from .model import Model, load_checkpoint, save_checkpoint, set_trainable, trainable_names
 from .numkit import OptimState, adam_step, inv_decay_lr, noam_lr, noam_peak
@@ -102,8 +102,11 @@ def _train(model, stage, cfg: StageConfig, step, lr_at, out_path):
     the gradients of its objective into ``grads`` and returns ``(loss,
     detail)``, where ``detail`` is extra text for the progress log.
     ``lr_at(k)`` is the base learning rate of step k. The checkpoint is
-    written once, after the last step.
+    written once, after the last step; a missing output directory is
+    refused before the first.
     """
+    if not Path(out_path).parent.is_dir():
+        raise FileFormatError(f"{stage}: output directory of {out_path} does not exist")
     groups = set_trainable(model, stage)
     names = trainable_names(groups)
     optim = OptimState()

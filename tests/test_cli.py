@@ -1,13 +1,21 @@
 """End-to-end CLI tests driven in-process through main(argv)."""
 
+import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crossadapt
+from crossadapt import pipeline
 from crossadapt.cli import main
-from crossadapt.corpus import CorpusManifest, make_trials
 from crossadapt.evaluation import read_report
+
+SRC = str(Path(crossadapt.__file__).resolve().parent.parent)
 
 TINY_YAML = """\
 seed: 11
@@ -29,38 +37,41 @@ adapt: {steps: 5, batch_size: 3, tgt_batch_size: 3, crop_frames: 20}
 """
 
 
+def chain(root, cfg):
+    """Output paths and argv lists of the whole subcommand chain under ``root``."""
+    paths = {"corpus": root / "corpus", "pre": root / "pre.ckpt", "ft": root / "ft.ckpt",
+             "ad": root / "ad.ckpt", "base_rep": root / "base.report", "ad_rep": root / "adapt.report"}
+    p = {k: str(v) for k, v in paths.items()}
+    conf = ["--config", str(cfg)]
+    steps = [
+        ["gen-corpus", *conf, "--out", p["corpus"]],
+        ["pretrain", *conf, "--corpus", p["corpus"], "--out", p["pre"]],
+        ["finetune", *conf, "--init", p["pre"], "--corpus", p["corpus"], "--out", p["ft"]],
+        ["adapt", *conf, "--init", p["ft"], "--corpus", p["corpus"], "--out", p["ad"]],
+        ["evaluate", "--ckpt", p["ft"], "--corpus", p["corpus"], "--out", p["base_rep"]],
+        ["evaluate", "--ckpt", p["ad"], "--corpus", p["corpus"], "--out", p["ad_rep"]],
+    ]
+    return paths, steps
+
+
 @pytest.fixture(scope="module")
 def env(tmp_path_factory):
     """Run the whole subcommand chain once on a desk-sized config."""
     root = tmp_path_factory.mktemp("cli")
     cfg = root / "tiny.yaml"
     cfg.write_text(TINY_YAML)
-    corpus = root / "corpus"
-    pre, ft, ad = root / "pre.ckpt", root / "ft.ckpt", root / "ad.ckpt"
-    base_rep, ad_rep = root / "base.report", root / "adapt.report"
-    conf = ["--config", str(cfg)]
-    steps = [
-        ["gen-corpus", *conf, "--out", str(corpus)],
-        ["pretrain", *conf, "--corpus", str(corpus), "--out", str(pre)],
-        ["finetune", *conf, "--init", str(pre), "--corpus", str(corpus), "--out", str(ft)],
-        ["adapt", *conf, "--init", str(ft), "--corpus", str(corpus), "--out", str(ad)],
-        ["evaluate", "--ckpt", str(ft), "--corpus", str(corpus), "--out", str(base_rep)],
-        ["evaluate", "--ckpt", str(ad), "--corpus", str(corpus), "--out", str(ad_rep)],
-    ]
+    paths, steps = chain(root, cfg)
     for argv in steps:
         assert main(["-q", *argv]) == 0, argv[0]
-    return {
-        "root": root, "config": cfg, "corpus": corpus,
-        "pre": pre, "ft": ft, "ad": ad, "base_rep": base_rep, "ad_rep": ad_rep,
-    }
+    return {"root": root, "config": cfg, **paths}
 
 
 class TestChain:
     def test_corpus_artifacts(self, env):
-        manifest = CorpusManifest.load(env["corpus"] / "manifest.tsv")
-        for d in range(4):
-            # 4 speakers x 1 enroll utt x (4 speakers x 2 test utts)
-            assert len(make_trials(manifest, d)) == 32
+        for key in ("base_rep", "ad_rep"):
+            for d in read_report(env[key]).domains:
+                # 4 speakers x 1 enroll utt x (4 speakers x 2 test utts)
+                assert (d.n_trials, d.n_targets) == (32, 8)
         assert not list(env["corpus"].glob("trials_d*.txt"))
 
     def test_checkpoints_written(self, env):
@@ -206,6 +217,23 @@ class TestExitCodes:
         rc = main(["-q", "report", "--baseline", str(env["base_rep"]), "--adapted", str(bad)])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "adapt", "evaluate", "report"])
+    def test_unwritable_out_exits_2_before_training(self, env, tmp_path, monkeypatch, command):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(pipeline, "adam_step", no_step)
+        conf = ["--config", str(env["config"]), "--corpus", str(env["corpus"])]
+        argv = {
+            "pretrain": ["pretrain", *conf],
+            "finetune": ["finetune", *conf, "--init", str(env["pre"])],
+            "adapt": ["adapt", *conf, "--init", str(env["ft"])],
+            "evaluate": ["evaluate", "--ckpt", str(env["ft"]), "--corpus", str(env["corpus"])],
+            "report": ["report", "--baseline", str(env["base_rep"]), "--adapted", str(env["ad_rep"])],
+        }[command]
+        assert main(["-q", *argv, "--out", str(tmp_path / "nodir" / "x.out")]) == 2
+        assert not (tmp_path / "nodir").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_blowup_exits_3(self, env, tmp_path):
         # f64-finite feature values that overflow the f32 payload to inf,
@@ -217,3 +245,25 @@ class TestExitCodes:
         rc = main(["-q", "pretrain", *conf, "--corpus", str(corpus),
                    "--out", str(tmp_path / "x.ckpt")])
         assert rc == 3
+
+
+class TestBlasThreads:
+    def test_bytes_independent_of_blas_threads(self, tmp_path):
+        """Every checkpoint and report byte is the same under one and two
+        BLAS threads. Each chain runs in a fresh process, since BLAS reads
+        its thread count when numpy loads; 200-frame utterances through
+        24-wide groups give evaluation gemms big enough to be split."""
+        cfg = tmp_path / "wide.yaml"
+        cfg.write_text(TINY_YAML.replace("frames_per_utt: 30", "frames_per_utt: 200")
+                       .replace("[6, 6, 6, 6]", "[24, 24, 24, 24]").replace("[1, 1, 0, 0]", "[1, 1, 1, 0]"))
+        outputs = []
+        for threads in ("1", "2"):
+            paths, steps = chain(tmp_path / f"threads{threads}", cfg)
+            env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            run = ("import json, sys; from crossadapt.cli import main; "
+                   "sys.exit(0 if all(main(['-q', *a]) == 0 for a in json.loads(sys.argv[1])) else 1)")
+            subprocess.run([sys.executable, "-c", run, json.dumps(steps)], env=env, check=True,
+                           timeout=120)
+            outputs.append({k: paths[k].read_bytes() for k in ("pre", "ft", "ad", "base_rep", "ad_rep")})
+        assert outputs[0] == outputs[1]

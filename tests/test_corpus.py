@@ -1,14 +1,18 @@
 """Corpus generation, transform, trial, and file-format tests."""
 
+import random
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from crossadapt import evaluation
 from crossadapt.corpus import (
     CorpusManifest,
     DomainSpec,
     apply_domain_transform,
     gen_corpus,
-    make_trials,
     read_feature_header,
     read_features,
     split_counts,
@@ -23,7 +27,11 @@ from crossadapt.errors import (
     TruncatedFileError,
     UnknownDomainError,
 )
+from crossadapt.evaluation import embed_utterance, evaluate_domain, score_trials
+from crossadapt.model import Model
 from crossadapt.rng import substream
+
+from conftest import jitter_params, micro_config
 
 
 def small_domains(dim=6):
@@ -65,6 +73,19 @@ class TestFeatureFiles:
         path.write_bytes(raw[:-5])
         with pytest.raises(TruncatedFileError):
             read_features(path)
+
+    @pytest.mark.parametrize("frames,dim", [(2**31, 2**10), (2**20, 16)])
+    def test_oversized_header_rejected_before_reading(self, tmp_path, frames, dim):
+        path = tmp_path / "big.xdaf"
+        path.write_bytes(b"XDAF" + struct.pack("<III", 1, frames, dim) + bytes(64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FileFormatError):
+                read_features(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_trailing_bytes_rejected(self, tmp_path, rng):
         path = tmp_path / "x.xdaf"
@@ -262,42 +283,62 @@ class TestGenCorpus:
 
 
 class TestTrials:
+    """Trial counts and order, seen through ``evaluate_domain``."""
+
     def make(self, tmp_path, utts=10, speakers=2):
         return gen_corpus(tmp_path, seed=4, num_speakers=speakers, utts_per_speaker=utts,
                           frames_per_utt=4, domains=small_domains(), input_dim=6)
 
+    def model(self, speakers=2):
+        return jitter_params(Model.create(micro_config(input_dim=6, num_speakers=speakers), seed=5))
+
     def test_counts_two_speakers(self, tmp_path):
         man = self.make(tmp_path)
-        trials = make_trials(man, 1)
+        out = evaluate_domain(self.model(), "pretrain", man, tmp_path, 1)
         # 2 speakers x (1 enroll, 2 test) each: 2*4 pairs, 1*2 targets per speaker
-        assert len(trials) == 8
-        assert sum(t.is_target for t in trials) == 4
+        assert (out.n_trials, out.n_targets) == (8, 4)
 
     def test_target_fraction_matches_counting_oracle(self, tmp_path):
         man = self.make(tmp_path, utts=20, speakers=3)
-        trials = make_trials(man, 0)
+        out = evaluate_domain(self.model(3), "pretrain", man, tmp_path, 0)
         enroll = man.select(0, "enroll")
         test = man.select(0, "test")
         brute = sum(
             sum(1 for e in enroll if e.speaker_id == s) * sum(1 for t in test if t.speaker_id == s)
             for s in range(3)
         )
-        assert sum(t.is_target for t in trials) == brute
-        assert len(trials) == len(enroll) * len(test)
+        assert out.n_targets == brute
+        assert out.n_trials == len(enroll) * len(test)
 
-    def test_stable_lexicographic_order(self, tmp_path):
-        man = self.make(tmp_path)
-        a = make_trials(man, 2)
-        assert a == make_trials(man, 2)
-        keys = [(t.enroll_utt, t.test_utt) for t in a]
-        assert keys == sorted(keys)
+    def test_stable_lexicographic_order(self, tmp_path, monkeypatch):
+        man, model = self.make(tmp_path), self.model()
+        seen = []
+
+        def spy(*args):
+            seen.append(score_trials(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(evaluation, "score_trials", spy)
+        first = evaluate_domain(model, "pretrain", man, tmp_path, 2)
+        shuffled = list(man.records)
+        random.Random(0).shuffle(shuffled)
+        man_shuffled = CorpusManifest(man.seed, man.num_speakers, man.fingerprint, shuffled)
+        assert evaluate_domain(model, "pretrain", man_shuffled, tmp_path, 2) == first
+        assert seen[0].tobytes() == seen[1].tobytes()
+        # one enroll utterance per speaker: its embedding is the speaker model
+        emb = {r.utt_id: embed_utterance(read_features(tmp_path / r.relpath), model, "pretrain", 2)
+               for r in man.select(2)}
+        enroll = sorted(r.utt_id for r in man.select(2, "enroll"))
+        test = sorted(r.utt_id for r in man.select(2, "test"))
+        expect = [emb[e] @ emb[t] for e in enroll for t in test]
+        assert np.allclose(seen[0], expect, rtol=0.0, atol=1e-12)
 
     def test_empty_enroll_split_rejected(self, tmp_path):
         man = self.make(tmp_path, utts=5)  # 5 utts -> enroll count 0
         with pytest.raises(ContractError):
-            make_trials(man, 0)
+            evaluate_domain(self.model(), "pretrain", man, tmp_path, 0)
 
     def test_unknown_domain_rejected(self, tmp_path):
         man = self.make(tmp_path)
         with pytest.raises(UnknownDomainError):
-            make_trials(man, 5)
+            evaluate_domain(self.model(), "pretrain", man, tmp_path, 5)

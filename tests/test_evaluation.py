@@ -1,18 +1,25 @@
-"""Evaluation-side tests: embeddings, EER against oracles, reports."""
+"""Evaluation-side tests: embeddings, scoring, EER against oracles, reports."""
+
+import shutil
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crossadapt.corpus import DomainSpec, gen_corpus
+from crossadapt import evaluation
+from crossadapt.corpus import DomainSpec, TrialPair, gen_corpus, read_features
 from crossadapt.errors import ContractError, FileFormatError, StructuralError, UnknownDomainError
 from crossadapt.evaluation import (
     DomainEval,
     EvalReport,
     ScoreRecord,
     compute_eer,
-    cosine_score,
     embed_utterance,
     enroll_speaker,
+    equal_error_rate,
     evaluate_domain,
     evaluate_model,
     format_table,
@@ -21,10 +28,9 @@ from crossadapt.evaluation import (
     score_trials,
     write_report,
 )
-from crossadapt.corpus import TrialPair, make_trials
-from crossadapt.model import Model
+from crossadapt.model import STAGES, Model
 
-from conftest import micro_config
+from conftest import jitter_params, micro_config
 
 
 def records_from(targets, nontargets):
@@ -56,20 +62,24 @@ def eer_oracle(records):
     raise AssertionError("no crossing found")
 
 
+def cosine(e1, e2):
+    return score_trials(np.array([e1], dtype=float), np.array([e2], dtype=float), [0])[0]
+
+
 class TestCosine:
     def test_identical(self):
         v = np.array([0.3, -0.2, 0.9])
-        assert cosine_score(v, v) == pytest.approx(1.0, abs=1e-12)
+        assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal(self):
-        assert cosine_score([1.0, 0.0], [0.0, 2.0]) == pytest.approx(0.0, abs=1e-12)
+        assert cosine([1.0, 0.0], [0.0, 2.0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_value(self):
-        assert cosine_score([1.0, 0.0], [1.0, 1.0]) == pytest.approx(2.0 ** -0.5, abs=1e-9)
+        assert cosine([1.0, 0.0], [1.0, 1.0]) == pytest.approx(2.0 ** -0.5, abs=1e-9)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ContractError):
-            cosine_score([0.0, 0.0], [1.0, 0.0])
+            cosine([0.0, 0.0], [1.0, 0.0])
 
 
 class TestEnroll:
@@ -185,6 +195,13 @@ class TestEer:
     def test_single_class_rejected(self):
         with pytest.raises(ContractError):
             compute_eer(records_from([0.5, 0.6], []))
+        with pytest.raises(ContractError):
+            equal_error_rate([], [0.5])
+
+    def test_records_adapter_matches_score_arrays(self):
+        rng = np.random.default_rng(3)
+        tar, non = rng.uniform(-1, 1, 40), np.round(rng.uniform(-1, 1, 70), 1)
+        assert compute_eer(records_from(tar, non)) == equal_error_rate(tar, non)
 
     def test_score_out_of_range_rejected(self):
         with pytest.raises(ContractError):
@@ -275,17 +292,150 @@ class TestEvaluateDomain:
         report = evaluate_model(generic_model, "adapt", man, root, "ck@1")
         assert [d.domain_id for d in report.domains] == [0, 1, 2]
 
-    def test_respects_explicit_trials(self, corpus, generic_model):
-        man, root = corpus
-        trials = make_trials(man, 1)[:6]
-        out = evaluate_domain(generic_model, "pretrain", man, root, 1, trials=trials)
-        assert out.n_trials == 6
-
 
 class TestScoreTrials:
     def test_missing_vector_rejected(self):
-        trial = TrialPair("e1", "t1", True)
+        models, tests = np.eye(2), np.array([[1.0, 0.0]])
         with pytest.raises(StructuralError):
-            score_trials([trial], {}, {"t1": np.array([1.0, 0.0])})
+            score_trials(models, tests, [0, 2])
         with pytest.raises(StructuralError):
-            score_trials([trial], {"e1": np.array([1.0, 0.0])}, {})
+            score_trials(models, np.ones((1, 3)), [0])
+
+    def test_enroll_major_order(self):
+        models = np.array([[1.0, 0.0], [0.0, 1.0]])
+        tests = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        got = score_trials(models, tests, [1, 0, 1])
+        h = 2.0 ** -0.5
+        assert np.allclose(got, [0, 1, h, 1, 0, h, 0, 1, h], atol=1e-12)
+
+    def test_duplicate_vectors_score_exactly_alike(self):
+        # a gemm may sum identical rows or columns in different orders (it
+        # does at some shapes), so each score must come from the one copy
+        # of each distinct vector
+        rng = np.random.default_rng(5)
+        for n in (16, 17, 33, 49):
+            u, v, w = rng.normal(size=(3, 32))
+            scores = score_trials(np.array([w, u, w]), np.array([v] * n), [0, 1, 2, 1]).reshape(4, n)
+            assert all(len(np.unique(row)) == 1 for row in scores)
+            assert np.array_equal(scores[0], scores[2]) and np.array_equal(scores[1], scores[3])
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ContractError):
+            score_trials([[np.nan, 1.0]], [[1.0, 0.0]], [0])
+        with pytest.raises(ContractError):
+            score_trials([[np.inf, 1.0]], [[1.0, 0.0]], [0])
+
+    def test_out_of_range_rejected(self):
+        # at subnormal scale the dot product and the product of the norms
+        # round apart: this cosine of two parallel vectors comes out as 2.0
+        with pytest.raises(ContractError):
+            score_trials([[3e-162]], [[2.5e-162]], [0])
+
+
+# -- the per-trial path evaluation used before scoring whole domains --------------
+
+
+def reference_trials(manifest, domain_id):
+    """Exhaustive enroll x test trials within one domain, lexicographic order."""
+    if domain_id < 0 or domain_id >= manifest.num_domains:
+        raise UnknownDomainError(f"domain {domain_id} not present in manifest")
+    enroll = sorted(manifest.select(domain_id, "enroll"), key=lambda r: r.utt_id)
+    test = sorted(manifest.select(domain_id, "test"), key=lambda r: r.utt_id)
+    if not enroll or not test:
+        raise ContractError(f"domain {domain_id} lacks enroll or test utterances")
+    return [TrialPair(e.utt_id, t.utt_id, e.speaker_id == t.speaker_id) for e in enroll for t in test]
+
+
+def reference_cosine(e1, e2):
+    n1, n2 = np.linalg.norm(e1), np.linalg.norm(e2)
+    if n1 <= 0.0 or n2 <= 0.0:
+        raise ContractError("cosine score undefined for zero vectors")
+    return float(e1 @ e2 / (n1 * n2))
+
+
+def reference_evaluate_domain(model, stage, manifest, root, domain_id):
+    trials = reference_trials(manifest, domain_id)
+
+    def embed_records(records):
+        return {
+            r.utt_id: embed_utterance(read_features(Path(root) / r.relpath), model, stage, domain_id)
+            for r in records
+        }
+
+    enroll_records = manifest.select(domain_id, "enroll")
+    test_vectors = embed_records(manifest.select(domain_id, "test"))
+    enroll_embs = embed_records(enroll_records)
+    by_speaker = {}
+    for r in enroll_records:
+        by_speaker.setdefault(r.speaker_id, []).append(enroll_embs[r.utt_id])
+    models = {s: enroll_speaker(embs) for s, embs in by_speaker.items()}
+    enroll_vectors = {r.utt_id: models[r.speaker_id] for r in enroll_records}
+    records = [
+        ScoreRecord(tr, reference_cosine(enroll_vectors[tr.enroll_utt], test_vectors[tr.test_utt]))
+        for tr in trials
+    ]
+    eer, _ = compute_eer(records)
+    out = DomainEval(domain_id, eer, len(records), sum(r.trial.is_target for r in records))
+    return out, np.array([r.score for r in records])
+
+
+@pytest.fixture(scope="module")
+def micro_corpus(tmp_path_factory):
+    """Cached micro corpora by ``(speakers, utts, copies)``. With ``copies``
+    every test utterance is overwritten by speaker 0's utterance of the same
+    index and domain, so each test embedding recurs under every speaker:
+    target and nontarget trials then tie exactly."""
+    cache = {}
+    domains = [DomainSpec("clean"), DomainSpec("channel", channel_gain=(0.6, 1.4, 0.8, 1.2)),
+               DomainSpec("noisy", snr_db=3.0)]
+
+    def get(speakers, utts, copies):
+        if (speakers, utts, copies) not in cache:
+            root = tmp_path_factory.mktemp("micro")
+            man = gen_corpus(root, seed=7, num_speakers=speakers, utts_per_speaker=utts,
+                             frames_per_utt=5, domains=domains, input_dim=4)
+            for r in man.select(split="test") if copies else []:
+                if r.speaker_id > 0:
+                    shutil.copyfile(root / r.relpath.replace(f"s{r.speaker_id:03d}_", "s000_"),
+                                    root / r.relpath)
+            cache[speakers, utts, copies] = (man, root)
+        return cache[speakers, utts, copies]
+
+    return get
+
+
+class TestMatchesPerTrialPath:
+    @given(
+        speakers=st.integers(2, 4),
+        utts=st.sampled_from([10, 20, 30]),  # 1, 2 or 3 enroll utterances per speaker
+        ties=st.sampled_from(["none", "copies", "embeddings"]),
+        stage=st.sampled_from(STAGES),
+        domain=st.integers(0, 2),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_eer_and_counts_equal(self, micro_corpus, speakers, utts, ties, stage, domain, seed):
+        man, root = micro_corpus(speakers, utts, ties == "copies")
+        model = jitter_params(Model.create(micro_config(num_speakers=speakers), seed=seed,
+                                           with_subnets=True), seed=seed)
+        if ties == "embeddings":
+            # a dead last group makes the trunk output constant: every
+            # utterance gets one embedding, and every trial ties
+            model.params["g4.W"][:] = 0.0
+            model.params["g4.b"][:] = np.abs(model.params["g4.b"]) + 0.1
+        seen = []
+
+        def spy(*args):
+            seen.append(score_trials(*args))
+            return seen[-1]
+
+        with mock.patch.object(evaluation, "score_trials", spy):
+            got = evaluate_domain(model, stage, man, root, domain)
+        ref, ref_scores = reference_evaluate_domain(model, stage, man, root, domain)
+        assert got == ref
+        # same trials in the same order; a gemm sums in another order than
+        # the per-pair dot, so the scores agree to a few float64 ulps
+        (scores,) = seen
+        assert np.allclose(scores, ref_scores, rtol=0.0, atol=1e-14)
+        if ties == "embeddings":
+            assert got.eer == 0.5

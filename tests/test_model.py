@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,7 +153,30 @@ class TestSplice:
         assert dx.sum() == pytest.approx(y.size)
 
 
+def reference_lde_aggregate(cache):
+    """The weighted residual sum as first written: ``np.sort`` of a copy."""
+    resid, _, w, _, _, _ = cache
+    mass = np.maximum(np.sort(w, axis=0).sum(axis=0), np.finfo(np.float64).tiny)
+    return np.sort(w[:, :, None] * resid, axis=0).sum(axis=0) / mass[:, None]
+
+
 class TestLdePooling:
+    @given(
+        st.sampled_from([1, 3, 60, 200]),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=24),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_in_place_sort_matches_reference_bit_for_bit(self, t, k, d, seed):
+        rng = np.random.default_rng(seed)
+        frames = np.maximum(rng.normal(size=(t, d)), 0.0)
+        dictionary = frames[rng.integers(0, t, size=k)] + 0.1 * rng.normal(size=(k, d))
+        out, cache = lde_pool(frames, dictionary, rng.normal(size=k))
+        ref = reference_lde_aggregate(cache)
+        assert out.tobytes() == ref.reshape(-1).tobytes()
+        assert cache[4].tobytes() == ref.tobytes()
+
     def test_single_component_is_mean_residual(self, rng):
         frames = rng.normal(size=(6, 3))
         d = rng.normal(size=(1, 3))
@@ -358,6 +384,25 @@ class TestCheckpoints:
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(FileFormatError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("dims", [(2**31, 2**10), (2**20, 16)])
+    def test_oversized_tensor_rejected_before_reading(self, tmp_path, dims):
+        path = tmp_path / "big.ckpt"
+        name = b"g1.W"
+        header = struct.pack("<IBQIH", 1, 0, 1, 1, len(name)) + name + struct.pack("<BII", 2, *dims)
+        path.write_bytes(b"XDCK" + header + bytes(64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FileFormatError):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_unwritable_path_is_format_error(self, micro_model, tmp_path):
+        with pytest.raises(FileFormatError):
+            save_checkpoint(tmp_path / "nodir" / "m.ckpt", micro_model, "pretrain", 1)
 
     def test_loaded_model_runs_forward(self, micro_model, tmp_path, rng):
         path = tmp_path / "m.ckpt"
