@@ -67,7 +67,7 @@ def embed_utterance(features, model, stage: str, domain_id: int) -> np.ndarray:
         raise UnknownDomainError(
             f"domain {domain_id} outside configured range 0..{num_targets}"
         )
-    emb, _ = model.encode(features, mode="eval")
+    (emb,), _ = model.encode([features], mode="eval")
     if stage != "adapt":
         return _normalize(emb)
     if domain_id > 0:

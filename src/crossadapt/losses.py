@@ -251,15 +251,6 @@ def cross_entropy_grad(logits, labels, upstream: float = 1.0):
 # -- composite ----------------------------------------------------------------
 
 
-def _encode_batch(model, utts):
-    embs, caches = [], []
-    for x in utts:
-        emb, cache = model.encode(x)
-        embs.append(emb)
-        caches.append(cache)
-    return np.vstack([e.reshape(1, -1) for e in embs]), caches
-
-
 def total_loss(
     batch: DomainBatch,
     model,
@@ -282,26 +273,27 @@ def total_loss(
     num_domains = batch.num_domains
     mu = progressive_weight(p, steepness)
 
-    src_embs, src_caches = _encode_batch(model, batch.src_utts)
-    src_sub = []
-    for h in range(num_domains):
-        back, cache = model.subnet_forward(src_embs, h, "full")
-        src_sub.append((back, cache))
+    # every crop of the step goes through one encode call: clean rows first,
+    # then each target domain's rows in domain order
+    groups = (batch.src_utts, *batch.tgt_utts)
+    cuts = np.cumsum([len(utts) for utts in groups])[:-1]
+    embs, enc_cache = model.encode([x for utts in groups for x in utts])
+    src_embs, *tgt_embs = np.split(embs, cuts)
+    src_sub = [model.subnet_forward(src_embs, h, "full") for h in range(num_domains)]
     dis = discrepancy_loss([cache["front"] for _, cache in src_sub])
 
     tgt_sub = []
     mmd_vals, mmd_grads = [], []
     cls_total = 0.0
     for h in range(num_domains):
-        tgt_embs, tgt_caches = _encode_batch(model, batch.tgt_utts[h])
-        back, cache = model.subnet_forward(tgt_embs, h, "full")
+        back, cache = model.subnet_forward(tgt_embs[h], h, "full")
         logits, cls_cache = model.classifier_forward(back, h)
         ce, dlogits = cross_entropy_grad(logits, batch.tgt_labels[h])
         cls_total += ce
         value, dsrc, dtgt = _mmd_eval(src_sub[h][0], back, kernel, bandwidth)
         mmd_vals.append(value)
         mmd_grads.append((dsrc, dtgt))
-        tgt_sub.append((tgt_caches, cache, cls_cache, dlogits))
+        tgt_sub.append((cache, cls_cache, dlogits))
     mmd_total = float(sum(mmd_vals))
     out = LossBreakdown(
         dis=dis, mmd=mmd_total, cls=cls_total, mu=mu, total=mu * (mmd_total + dis) + cls_total
@@ -310,15 +302,13 @@ def total_loss(
         return out
 
     dis_grads = discrepancy_backward([cache["front"] for _, cache in src_sub], upstream=mu)
-    dsrc_embs = np.zeros_like(src_embs)
+    dembs = np.zeros_like(embs)
+    dsrc_embs, *dtgt_embs = np.split(dembs, cuts)
     for h in range(num_domains):
-        tgt_caches, sub_cache, cls_cache, dlogits = tgt_sub[h]
+        sub_cache, cls_cache, dlogits = tgt_sub[h]
         dsrc_back, dtgt_back = mmd_grads[h]
         dback = mu * dtgt_back + model.classifier_backward(dlogits, cls_cache, grads)
-        dtgt_embs = model.subnet_backward(dback, None, sub_cache, grads)
-        for i, cache in enumerate(tgt_caches):
-            model.encode_backward(dtgt_embs[i], cache, grads, down_to_group)
+        dtgt_embs[h][...] = model.subnet_backward(dback, None, sub_cache, grads)
         dsrc_embs += model.subnet_backward(mu * dsrc_back, dis_grads[h], src_sub[h][1], grads)
-    for i, cache in enumerate(src_caches):
-        model.encode_backward(dsrc_embs[i], cache, grads, down_to_group)
+    model.encode_backward(dembs, enc_cache, grads, down_to_group)
     return out

@@ -9,8 +9,14 @@ four-layer subnet plus one classifier per target domain.  Each subnet
 splits into a ``front`` half (where per-domain agreement is encouraged)
 and a ``back`` half (the alignment/embedding space).
 
+``Model.encode`` is the one trunk entry point: it runs the extractor per
+utterance and pools each group of equal frame count with one stacked
+``lde_pool`` call, in matrix form with no [T, K, D] tensor.  A canonical
+frame order makes each pooled row exactly invariant to the order of its
+frames and to its batch, and a clamp keeps expanded distances non-negative.
+
 All forward passes return caches sufficient for exact hand-derived
-backprop; every backward here is covered by ``numkit.grad_check``.
+backprop; the tests check every backward here against central differences.
 """
 
 import functools
@@ -213,55 +219,73 @@ def relu_backward(dy, cache):
 
 
 def lde_pool(frames, dictionary, log_scale):
-    """Pool frames [T x D] into one embedding [K*D] by soft assignment.
+    """Pool frames [..., T, D] into embeddings [..., K*D] by soft assignment.
 
     Each frame is softly assigned to dictionary components with weights
     softmax_k(-s_k * ||f_t - d_k||^2), s_k = exp(log_scale_k); component k
-    aggregates the weighted mean residual (f_t - d_k).  By construction the
-    result is invariant to any permutation of the frames.
+    aggregates the weighted mean residual (f_t - d_k).  Leading axes stack
+    utterances of equal length; each is pooled on its own.
+
+    The frames of each utterance are first put in a canonical order, a stable
+    sort of their rows' bytes.  Every sum over frames then sees the same
+    summands in the same order whatever order the frames came in, so the
+    result is exactly (bitwise) permutation-invariant.  Distances use the
+    expansion ``|f|^2 - 2 f.d + |d|^2``, which needs no [T,K,D] residual
+    tensor but cancels to a rounding error of either sign when a frame sits
+    on a component; clamping at 0 keeps every distance non-negative.
     """
-    if frames.shape[0] < 1:
+    rows = np.ascontiguousarray(frames, dtype=np.float64)
+    if rows.ndim < 2 or rows.shape[-2] < 1:
         raise ContractError("dictionary pooling needs at least one frame")
-    if frames.shape[1] != dictionary.shape[1]:
+    if rows.shape[-1] != dictionary.shape[1]:
         raise StructuralError("frame dim does not match dictionary component dim")
+    t, d = rows.shape[-2:]
+    order = np.argsort(rows.view(np.dtype((np.void, rows.itemsize * d)))[..., 0], axis=-1, kind="stable")
+    # flat row of each canonical frame, so one take gathers every utterance
+    order = (order + t * np.arange(order.size // t).reshape(*order.shape[:-1], 1)).reshape(-1)
+    f = np.take(rows.reshape(-1, d), order, axis=0).reshape(rows.shape)
     s = np.exp(log_scale)
-    resid = frames[:, None, :] - dictionary[None, :, :]  # [T,K,D]
-    sqdist = np.einsum("tkd,tkd->tk", resid, resid)
-    logits = -s[None, :] * sqdist
-    logits = logits - logits.max(axis=1, keepdims=True)
+    sqdist = np.einsum("...td,...td->...t", f, f)[..., None] - 2.0 * (f @ dictionary.T)
+    sqdist += np.einsum("kd,kd->k", dictionary, dictionary)
+    np.maximum(sqdist, 0.0, out=sqdist)
+    logits = -s * sqdist
+    logits -= logits.max(axis=-1, keepdims=True)
     w = np.exp(logits)
-    w /= w.sum(axis=1, keepdims=True)
-    # frame sums run over sorted summands so the pooled embedding is
-    # bit-identical under any permutation of the input frames
-    mass = np.sort(w, axis=0).sum(axis=0)  # [K]
+    w /= w.sum(axis=-1, keepdims=True)
     # per-row softmax is strictly positive, but a component every frame is far
     # from can underflow to 0 mass; floor it so starved components pool to ~0
-    mass = np.maximum(mass, np.finfo(np.float64).tiny)
-    contrib = w[:, :, None] * resid  # a fresh temporary: sort it in place
-    contrib.sort(axis=0)
-    agg = contrib.sum(axis=0) / mass[:, None]
+    msum = w.sum(axis=-2)  # [..., K]
+    mass = np.maximum(msum, np.finfo(np.float64).tiny)
     # normalized per-component weights (each column sums to 1, or to 0 for a
     # fully starved component); backward works in this scale so that 1/mass
     # never appears as a bare factor that could overflow
-    u = w / mass[None, :]
-    cache = (resid, sqdist, w, u, agg, s)
-    return agg.reshape(-1), cache
+    u = w / mass[..., None, :]
+    usum = msum / mass  # the column sums of u, in closed form
+    agg = np.swapaxes(u, -1, -2) @ f - usum[..., None] * dictionary  # [..., K, D]
+    cache = (order, f, dictionary, sqdist, w, u, usum, agg, s)
+    return agg.reshape(*agg.shape[:-2], -1), cache
 
 
 def lde_pool_backward(dout, cache):
-    """Gradients of the pooled embedding w.r.t. frames, dictionary, log_scale."""
-    resid, sqdist, w, u, agg, s = cache
-    de = dout.reshape(agg.shape)  # [K,D]
-    # weight gradient combines the numerator and the normalizing-mass paths;
-    # the mass division is folded into u so starved components get gradient 0
-    gw = np.einsum("kd,tkd->tk", de, resid) - np.einsum("kd,kd->k", de, agg)[None, :]
-    # softmax backward per frame
-    gl = u * gw - w * (u * gw).sum(axis=1, keepdims=True)
-    dlog_scale = -s * np.einsum("tk,tk->k", gl, sqdist)
-    dresid = u[:, :, None] * de[None, :, :] - 2.0 * (s[None, :] * gl)[:, :, None] * resid
-    dframes = dresid.sum(axis=1)
-    ddict = -dresid.sum(axis=0)
-    return dframes, ddict, dlog_scale
+    """Gradients of the pooled embeddings [..., K*D] w.r.t. frames [..., T, D],
+    dictionary and log_scale, the last two summed over the stacked utterances."""
+    order, f, dictionary, sqdist, w, u, usum, agg, s = cache
+    de = dout.reshape(agg.shape)  # [..., K, D]
+    # weight gradient de_k . (f_t - d_k - agg_k) combines the numerator and the
+    # normalizing-mass paths; the mass division is folded into u so starved
+    # components get gradient 0
+    gw = f @ np.swapaxes(de, -1, -2) - np.einsum("...kd,...kd->...k", de, dictionary + agg)[..., None, :]
+    ug = u * gw
+    gl = ug - w * ug.sum(axis=-1, keepdims=True)  # softmax backward per frame
+    a = 2.0 * s * gl  # gradient of the residual f_t - d_k is u de_k - a (f_t - d_k)
+    k, d = dictionary.shape
+    dlog_scale = -s * (gl * sqdist).reshape(-1, k).sum(axis=0)
+    ddict = np.swapaxes(a, -1, -2) @ f - a.sum(axis=-2)[..., None] * dictionary - usum[..., None] * de
+    ddict = ddict.reshape(-1, k, d).sum(axis=0)
+    dsorted = u @ de + a @ dictionary - a.sum(axis=-1, keepdims=True) * f
+    dframes = np.empty((order.size, d))
+    dframes[order] = dsorted.reshape(-1, d)
+    return dframes.reshape(f.shape), ddict, dlog_scale
 
 
 # ---------------------------------------------------------------------------
@@ -392,20 +416,36 @@ class Model:
             if g == down_to_group - 1:
                 break
             dh = splice_backward(dsp, sp_cache)
-        return None
 
-    def encode(self, x, mode: str = "train"):
-        """Trunk pass: frames -> pooled utterance embedding [K*D]."""
-        h, ex_cache = self.extractor_forward(x, mode)
-        emb, lde_cache = lde_pool(h, self.params["lde.dict"], self.params["lde.log_scale"])
-        return emb, (ex_cache, lde_cache)
+    def encode(self, utts, mode: str = "train"):
+        """Trunk pass over a list of frame matrices -> embeddings [N x K*D].
+
+        The extractor runs per utterance.  Its outputs are grouped by frame
+        count and each group is pooled by one stacked ``lde_pool`` call; rows
+        come back in input order, and a row's bytes do not depend on which
+        other utterances share the list.
+        """
+        outs, ex_caches = zip(*(self.extractor_forward(x, mode) for x in utts))
+        lengths = np.array([h.shape[0] for h in outs])
+        embs = np.empty((len(outs), self.config.lde.output_dim))
+        pools = []
+        for t in np.unique(lengths):
+            rows = np.flatnonzero(lengths == t)
+            stacked = np.stack([outs[i] for i in rows])
+            embs[rows], lde_cache = lde_pool(stacked, self.params["lde.dict"], self.params["lde.log_scale"])
+            pools.append((rows, lde_cache))
+        return embs, (ex_caches, pools)
 
     def encode_backward(self, demb, cache, grads, down_to_group: int = 1):
-        ex_cache, lde_cache = cache
-        dframes, ddict, dlog = lde_pool_backward(demb, lde_cache)
-        _accum(grads, "lde.dict", ddict)
-        _accum(grads, "lde.log_scale", dlog)
-        self.extractor_backward(dframes, ex_cache, grads, down_to_group)
+        """Backward of ``encode`` for ``demb`` [N x K*D]; the trunk backward
+        descends only to ``down_to_group``."""
+        ex_caches, pools = cache
+        for rows, lde_cache in pools:
+            dstack, ddict, dlog = lde_pool_backward(demb[rows], lde_cache)
+            _accum(grads, "lde.dict", ddict)
+            _accum(grads, "lde.log_scale", dlog)
+            for i, dh in zip(rows, dstack):
+                self.extractor_backward(dh, ex_caches[i], grads, down_to_group)
 
     # -- per-domain blocks --------------------------------------------------
 
@@ -594,7 +634,10 @@ def load_checkpoint(path, expected_config: ModelConfig = None):
         tensors = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<H", read_exact(fh, 2, "tensor name length"))
-            name = read_exact(fh, name_len, "tensor name").decode("utf-8")
+            try:
+                name = read_exact(fh, name_len, "tensor name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FileFormatError(f"checkpoint tensor name is not UTF-8: {exc}") from exc
             (rank,) = struct.unpack("<B", read_exact(fh, 1, "tensor rank"))
             dims = [struct.unpack("<I", read_exact(fh, 4, "tensor dims"))[0] for _ in range(rank)]
             payload = read_exact(fh, 4 * math.prod(dims), f"tensor {name} payload")

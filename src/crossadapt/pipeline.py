@@ -132,12 +132,11 @@ def _supervised_step(model, manifest, store, cfg: StageConfig, clean_only: bool,
 
     def step(k, rng, grads):
         feats, labels = sample_supervised(manifest, store, rng, cfg, clean_only=clean_only)
-        embs, caches = zip(*(model.encode(x) for x in feats))
-        logits, head_cache = model.head_forward(np.vstack(embs))
+        embs, cache = model.encode(feats)
+        logits, head_cache = model.head_forward(embs)
         loss, dlogits = cross_entropy_grad(logits, labels)
         demb = model.head_backward(dlogits, head_cache, grads)
-        for i, cache in enumerate(caches):
-            model.encode_backward(demb[i], cache, grads, down_to_group=down_to)
+        model.encode_backward(demb, cache, grads, down_to_group=down_to)
         return loss, ""
 
     return step

@@ -41,13 +41,14 @@ from crossadapt.model import (
 )
 from crossadapt.numkit import (
     ScheduleConfig,
-    grad_check,
     inv_decay_lr,
     noam_lr,
     noam_peak,
     progressive_weight,
 )
 from crossadapt.pipeline import adapt, finetune, pretrain
+
+from gradcheck import grad_check
 
 
 def _verdict(capsys, name, ok, detail):

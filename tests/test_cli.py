@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -144,6 +145,15 @@ class TestExitCodes:
     def test_corrupt_checkpoint(self, env, tmp_path):
         bogus = tmp_path / "bogus.ckpt"
         bogus.write_bytes(b"not a checkpoint")
+        rc = main(["-q", "evaluate", "--ckpt", str(bogus), "--corpus", str(env["corpus"]),
+                   "--out", str(tmp_path / "r.report")])
+        assert rc == 2
+
+    def test_non_utf8_tensor_name_exits_2(self, env, tmp_path):
+        name = b"\xff\xfe"
+        header = struct.pack("<IBQIH", 1, 1, 1, 1, len(name)) + name + struct.pack("<BI", 1, 1)
+        bogus = tmp_path / "name.ckpt"
+        bogus.write_bytes(b"XDCK" + header + bytes(4 + 16))
         rc = main(["-q", "evaluate", "--ckpt", str(bogus), "--corpus", str(env["corpus"]),
                    "--out", str(tmp_path / "r.report")])
         assert rc == 2

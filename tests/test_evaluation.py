@@ -110,20 +110,20 @@ class TestEmbed:
 
     def test_pretrain_is_normalized_trunk_output(self, generic_model, rng):
         x = rng.normal(size=(5, 4))
-        emb, _ = generic_model.encode(x)
+        (emb,), _ = generic_model.encode([x])
         got = embed_utterance(x, generic_model, "pretrain", 0)
         assert np.allclose(got, emb / np.linalg.norm(emb), atol=1e-12)
 
     def test_adapt_target_uses_matching_subnet(self, generic_model, rng):
         x = rng.normal(size=(5, 4))
-        emb, _ = generic_model.encode(x)
+        (emb,), _ = generic_model.encode([x])
         out, _ = generic_model.subnet_forward(emb, 1, "full")
         got = embed_utterance(x, generic_model, "adapt", 2)
         assert np.allclose(got, out[0] / np.linalg.norm(out[0]), atol=1e-12)
 
     def test_adapt_clean_averages_subnets(self, generic_model, rng):
         x = rng.normal(size=(5, 4))
-        emb, _ = generic_model.encode(x)
+        (emb,), _ = generic_model.encode([x])
         mean = np.mean(
             [generic_model.subnet_forward(emb, h, "full")[0][0] for h in range(2)], axis=0
         )

@@ -17,9 +17,10 @@ from crossadapt.losses import (
     total_loss,
 )
 from crossadapt.model import Model
-from crossadapt.numkit import ParamGroup, OptimState, adam_step, grad_check
+from crossadapt.numkit import ParamGroup, OptimState, adam_step
 
 from conftest import micro_config
+from gradcheck import grad_check
 
 
 def brute_cls(batch, model):
@@ -28,7 +29,7 @@ def brute_cls(batch, model):
     for h in range(batch.num_domains):
         logits = []
         for x in batch.tgt_utts[h]:
-            emb, _ = model.encode(x)
+            emb, _ = model.encode([x])
             back, _ = model.subnet_forward(emb, h, "full")
             logits.append(model.classifier_forward(back, h)[0][0])
         total += cross_entropy_grad(np.array(logits), batch.tgt_labels[h])[0]
@@ -253,9 +254,9 @@ class TestComposite:
         batch = make_batch(rng)
         total = total_loss(batch, micro_model, p=0.5, kernel="linear").mmd
         brute = 0.0
-        src = np.vstack([micro_model.encode(x)[0] for x in batch.src_utts])
+        src = np.vstack([micro_model.encode([x])[0] for x in batch.src_utts])
         for h in range(2):
-            tgt = np.vstack([micro_model.encode(x)[0] for x in batch.tgt_utts[h]])
+            tgt = np.vstack([micro_model.encode([x])[0] for x in batch.tgt_utts[h]])
             sb, _ = micro_model.subnet_forward(src, h, "full")
             tb, _ = micro_model.subnet_forward(tgt, h, "full")
             brute += mmd_pair(sb, tb, "linear")

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossadapt.errors import (
@@ -27,9 +27,8 @@ from crossadapt.model import (
     splice_forward,
     trainable_names,
 )
-from crossadapt.numkit import grad_check
-
 from conftest import micro_config
+from gradcheck import grad_check
 
 
 class TestExtractor:
@@ -153,11 +152,44 @@ class TestSplice:
         assert dx.sum() == pytest.approx(y.size)
 
 
-def reference_lde_aggregate(cache):
-    """The weighted residual sum as first written: ``np.sort`` of a copy."""
-    resid, _, w, _, _, _ = cache
+def reference_lde_pool(frames, dictionary, log_scale):
+    """LDE pooling as first written: [T,K,D] residuals, and every sum over
+    frames taken over sorted summands for permutation invariance."""
+    s = np.exp(log_scale)
+    resid = frames[:, None, :] - dictionary[None, :, :]  # [T,K,D]
+    sqdist = np.einsum("tkd,tkd->tk", resid, resid)
+    logits = -s[None, :] * sqdist
+    logits = logits - logits.max(axis=1, keepdims=True)
+    w = np.exp(logits)
+    w /= w.sum(axis=1, keepdims=True)
     mass = np.maximum(np.sort(w, axis=0).sum(axis=0), np.finfo(np.float64).tiny)
-    return np.sort(w[:, :, None] * resid, axis=0).sum(axis=0) / mass[:, None]
+    agg = np.sort(w[:, :, None] * resid, axis=0).sum(axis=0) / mass[:, None]
+    u = w / mass[None, :]
+    return agg.reshape(-1), (resid, sqdist, w, u, agg, s)
+
+
+def reference_lde_pool_backward(dout, cache):
+    """The gradients as first written, through the [T,K,D] residuals."""
+    resid, sqdist, w, u, agg, s = cache
+    de = dout.reshape(agg.shape)
+    gw = np.einsum("kd,tkd->tk", de, resid) - np.einsum("kd,kd->k", de, agg)[None, :]
+    gl = u * gw - w * (u * gw).sum(axis=1, keepdims=True)
+    dlog_scale = -s * np.einsum("tk,tk->k", gl, sqdist)
+    dresid = u[:, :, None] * de[None, :, :] - 2.0 * (s[None, :] * gl)[:, :, None] * resid
+    return dresid.sum(axis=1), -dresid.sum(axis=0), dlog_scale
+
+
+def lde_oracle_tol(frames, dictionary, log_scale):
+    """Error allowed against the reference, relative to its largest value.
+
+    The expanded distance differs from the residual form by rounding of
+    order eps * s_k * (|f|^2 + |d|^2), and every output and gradient
+    inherits it through the softmax.  Over 6000 random cases the largest
+    error was 33 times that unit (the log_scale gradient of starved
+    components); 1024 units leave room without hiding a wrong term.
+    """
+    sq = np.sum(frames * frames, axis=1).max() + np.sum(dictionary * dictionary, axis=1).max()
+    return 1024 * np.finfo(np.float64).eps * max(1.0, float(np.exp(log_scale).max() * sq))
 
 
 class TestLdePooling:
@@ -165,17 +197,33 @@ class TestLdePooling:
         st.sampled_from([1, 3, 60, 200]),
         st.integers(min_value=1, max_value=8),
         st.integers(min_value=1, max_value=24),
+        st.sampled_from(["on", "near", "far"]),
+        st.sampled_from([0.0, 3.0, 6.0]),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
+    @example(t=60, k=1, d=24, place="on", starve=0.0, seed=1)
+    @example(t=200, k=8, d=24, place="on", starve=6.0, seed=2)
     @settings(max_examples=200, deadline=None)
-    def test_in_place_sort_matches_reference_bit_for_bit(self, t, k, d, seed):
+    def test_matches_sort_based_reference(self, t, k, d, place, starve, seed):
         rng = np.random.default_rng(seed)
         frames = np.maximum(rng.normal(size=(t, d)), 0.0)
-        dictionary = frames[rng.integers(0, t, size=k)] + 0.1 * rng.normal(size=(k, d))
-        out, cache = lde_pool(frames, dictionary, rng.normal(size=k))
-        ref = reference_lde_aggregate(cache)
-        assert out.tobytes() == ref.reshape(-1).tobytes()
-        assert cache[4].tobytes() == ref.tobytes()
+        # "on" puts components exactly on frames, as _seed_dictionary does, so
+        # the expanded distance cancels; "far" leaves components starved
+        dictionary = frames[rng.integers(0, t, size=k)]
+        if place == "near":
+            dictionary = dictionary + 0.1 * rng.normal(size=(k, d))
+        elif place == "far":
+            dictionary = dictionary + 3.0 * rng.normal(size=(k, d))
+        log_scale = starve + rng.normal(size=k)
+        out, cache = lde_pool(frames, dictionary, log_scale)
+        ref, ref_cache = reference_lde_pool(frames, dictionary, log_scale)
+        dout = rng.normal(size=out.shape)
+        got = [out, *lde_pool_backward(dout, cache)]
+        want = [ref, *reference_lde_pool_backward(dout, ref_cache)]
+        tol = lde_oracle_tol(frames, dictionary, log_scale)
+        for name, a, b in zip(("pooled", "dframes", "ddict", "dlog_scale"), got, want):
+            assert a.shape == b.shape, name
+            assert np.abs(a - b).max() <= tol * max(1.0, float(np.abs(b).max())), name
 
     def test_single_component_is_mean_residual(self, rng):
         frames = rng.normal(size=(6, 3))
@@ -187,7 +235,7 @@ class TestLdePooling:
         frames = rng.normal(size=(10, 3))
         d = rng.normal(size=(4, 3))
         _, cache = lde_pool(frames, d, rng.normal(size=4))
-        w = cache[2]
+        w = cache[4]
         assert np.all(np.abs(w.sum(axis=1) - 1.0) < 1e-12)
 
     def test_permutation_invariance_is_exact(self, rng):
@@ -206,7 +254,7 @@ class TestLdePooling:
         d = 0.5 * rng.normal(size=(3, 3))
         frames = np.tile(d[1], (5, 1))
         out, cache = lde_pool(frames, d, np.log(100.0) * np.ones(3))
-        w = cache[2]
+        w = cache[4]
         agg = out.reshape(3, 3)
         assert np.all(w[:, 1] > 1.0 - 1e-6)
         assert np.allclose(agg[1], 0.0, atol=1e-9)
@@ -228,6 +276,61 @@ class TestLdePooling:
 
         point = {"frames": frames, "dict": rng.normal(size=(2, 3)), "ls": rng.normal(size=2)}
         assert grad_check(f, point) < 1e-4
+
+
+class TestBatchComposition:
+    @given(
+        st.integers(min_value=1, max_value=70),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pooled_row_independent_of_its_batch(self, t, b, seed):
+        rng = np.random.default_rng(seed)
+        crop = np.maximum(rng.normal(size=(t, 24)), 0.0)
+        dictionary = crop[rng.integers(0, t, size=8)] + 0.1 * rng.normal(size=(8, 24))
+        log_scale = rng.normal(size=8)
+        alone, _ = lde_pool(crop, dictionary, log_scale)
+        others = np.maximum(rng.normal(size=(b, t, 24)), 0.0)
+        at = int(rng.integers(0, b + 1))
+        stacked, _ = lde_pool(np.insert(others, at, crop, axis=0), dictionary, log_scale)
+        assert stacked[at].tobytes() == alone.tobytes()
+
+    @given(st.integers(min_value=1, max_value=70), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_permuting_one_crop_leaves_every_row_unchanged(self, t, seed):
+        rng = np.random.default_rng(seed)
+        crops = np.maximum(rng.normal(size=(6, t, 24)), 0.0)
+        crops[1, t // 2] = crops[1, 0]  # a repeated frame ties in the sort
+        dictionary = rng.normal(size=(8, 24))
+        log_scale = rng.normal(size=8)
+        before, _ = lde_pool(crops, dictionary, log_scale)
+        j = int(rng.integers(0, 6))
+        crops[j] = crops[j][rng.permutation(t)]
+        after, _ = lde_pool(crops, dictionary, log_scale)
+        assert after.tobytes() == before.tobytes()
+
+    def test_ragged_encode_keeps_input_order_and_bytes(self, generic_model, rng):
+        utts = [rng.normal(size=(n, 4)) for n in (5, 3, 5, 1, 8, 3, 5)]
+        embs, _ = generic_model.encode(utts)
+        assert embs.shape == (len(utts), 8)
+        for row, x in zip(embs, utts):
+            (alone,), _ = generic_model.encode([x])
+            assert row.tobytes() == alone.tobytes()
+
+    def test_ragged_encode_backward_sums_per_utterance_gradients(self, generic_model, rng):
+        utts = [rng.normal(size=(n, 4)) for n in (5, 3, 5, 1)]
+        demb = rng.normal(size=(len(utts), 8))
+        embs, cache = generic_model.encode(utts)
+        grads = {}
+        generic_model.encode_backward(demb, cache, grads)
+        summed = {}
+        for x, d in zip(utts, demb):
+            _, one = generic_model.encode([x])
+            generic_model.encode_backward(d[None, :], one, summed)
+        assert set(grads) == set(summed)
+        for name in grads:
+            assert np.allclose(grads[name], summed[name], rtol=1e-12, atol=1e-12), name
 
 
 class TestSubnetAndClassifier:
@@ -409,6 +512,6 @@ class TestCheckpoints:
         save_checkpoint(path, micro_model, "adapt", 3)
         loaded, _ = load_checkpoint(path)
         x = rng.normal(size=(6, 4))
-        emb_expected, _ = micro_model.encode(x, mode="eval")
-        emb_loaded, _ = loaded.encode(x, mode="eval")
+        emb_expected, _ = micro_model.encode([x], mode="eval")
+        emb_loaded, _ = loaded.encode([x], mode="eval")
         assert np.array_equal(emb_expected, emb_loaded)

@@ -11,12 +11,13 @@ from crossadapt.numkit import (
     ParamGroup,
     ScheduleConfig,
     adam_step,
-    grad_check,
     inv_decay_lr,
     noam_lr,
     noam_peak,
     progressive_weight,
 )
+
+from gradcheck import grad_check
 
 # Frozen expected values, computed once with mpmath at 30 digits from the
 # closed forms (inverse decay with lr0=0.01, alpha=10, beta=0.75; progressive
