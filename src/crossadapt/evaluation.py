@@ -142,9 +142,11 @@ def equal_error_rate(target_scores, nontarget_scores):
     thresholds = np.concatenate(
         [[distinct[0] - 1.0], (distinct[:-1] + distinct[1:]) / 2.0, [distinct[-1] + 1.0]]
     )
-    # counts below each threshold; FAR falls and FRR rises as it sweeps up
-    far = 1.0 - np.searchsorted(non, thresholds, side="left") / non.size
-    frr = np.searchsorted(tar, thresholds, side="left") / tar.size
+    # counts below each threshold, taken by position: the midpoint of two
+    # scores one ulp apart rounds onto one of them, so comparing with it would
+    # lose that operating point. FAR falls and FRR rises as the sweep goes up
+    far = 1.0 - np.append(np.searchsorted(non, distinct, side="left"), non.size) / non.size
+    frr = np.append(np.searchsorted(tar, distinct, side="left"), tar.size) / tar.size
     diff = far - frr
     j = int(np.argmax(diff <= 0.0))
     if diff[j] == 0.0:

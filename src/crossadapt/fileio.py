@@ -29,7 +29,15 @@ def read_exact(fh, n: int, what: str) -> bytes:
 
 
 def write_artifact(path, data: bytes, what: str) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it onto
+    ``path``, so a crash mid-write leaves the previous file whole."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        Path(path).write_bytes(data)
+        try:
+            tmp.write_bytes(data)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
     except OSError as exc:
         raise FileFormatError(f"cannot write {what} {path}: {exc}") from exc

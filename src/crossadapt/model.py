@@ -61,8 +61,6 @@ class ExtractorConfig:
     context: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "group_dims", tuple(int(d) for d in self.group_dims))
-        object.__setattr__(self, "context", tuple(int(c) for c in self.context))
         if len(self.group_dims) != NUM_GROUPS or len(self.context) != NUM_GROUPS:
             raise ContractError("extractor needs exactly four layer groups")
         if self.input_dim < 1 or any(d < 1 for d in self.group_dims):
@@ -96,8 +94,6 @@ class SubnetConfig:
     num_domains: int
 
     def __post_init__(self):
-        object.__setattr__(self, "front_dims", tuple(int(d) for d in self.front_dims))
-        object.__setattr__(self, "back_dims", tuple(int(d) for d in self.back_dims))
         if len(self.front_dims) != 2 or len(self.back_dims) != 2:
             raise ContractError("subnets have exactly two front and two back layers")
         if self.num_domains < 2:
@@ -150,7 +146,9 @@ def _arch_vector(config: ModelConfig) -> np.ndarray:
 def _config_from_arch(vec: np.ndarray) -> ModelConfig:
     if vec.shape != (_ARCH_LEN,):
         raise FileFormatError("malformed architecture record in checkpoint")
-    vals = [int(round(v)) for v in vec]
+    if not np.all(np.isfinite(vec) & (vec == np.round(vec))):
+        raise FileFormatError("architecture record in checkpoint holds a non-integral entry")
+    vals = [int(v) for v in vec]
     if vals[0] != 1:
         raise BadVersionError(f"unsupported architecture record version {vals[0]}")
     return ModelConfig(
@@ -614,11 +612,11 @@ def save_checkpoint(path, model: Model, stage: str, step: int) -> None:
     write_artifact(path, buf.getvalue(), "checkpoint")
 
 
-def load_checkpoint(path, expected_config: ModelConfig = None):
+def load_checkpoint(path):
     """Read a checkpoint; returns ``(Model, CheckpointMeta)``.
 
     The stored fingerprint is verified against the architecture embedded in
-    the file, and against ``expected_config`` when one is supplied.
+    the file.
     """
     with open_artifact(path, "checkpoint") as fh:
         if read_exact(fh, 4, "magic") != CHECKPOINT_MAGIC:
@@ -651,8 +649,6 @@ def load_checkpoint(path, expected_config: ModelConfig = None):
     config = _config_from_arch(tensors.pop(_ARCH_TENSOR))
     if config.fingerprint() != stored_fp:
         raise FingerprintMismatchError("checkpoint fingerprint does not match its stored architecture")
-    if expected_config is not None and expected_config.fingerprint() != stored_fp:
-        raise FingerprintMismatchError("checkpoint was produced under a different configuration")
     model = Model(config, tensors)
     _validate_param_names(model)
     return model, CheckpointMeta(STAGES[stage_byte], step, stored_fp)

@@ -1,3 +1,6 @@
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,14 @@ def micro_config(input_dim=4, width=4, context=(0, 1, 0, 0), num_domains=2, num_
         subnet=SubnetConfig(front_dims=(5, 4), back_dims=(4, 3), num_domains=num_domains),
         num_speakers=num_speakers,
     )
+
+
+def set_arch_entry(path, slot, value):
+    """Overwrite one float32 slot of a checkpoint's architecture record."""
+    blob = bytearray(Path(path).read_bytes())
+    at = blob.index(b"arch") + 4 + 1 + 4 + 4 * slot  # past the name, rank and one dim
+    blob[at : at + 4] = struct.pack("<f", value)
+    Path(path).write_bytes(bytes(blob))
 
 
 def jitter_params(model, seed=999, scale=0.1):

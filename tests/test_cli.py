@@ -15,6 +15,7 @@ import crossadapt
 from crossadapt import pipeline
 from crossadapt.cli import main
 from crossadapt.evaluation import read_report
+from conftest import set_arch_entry
 
 SRC = str(Path(crossadapt.__file__).resolve().parent.parent)
 
@@ -36,6 +37,17 @@ pretrain: {steps: 6, batch_size: 4, crop_frames: 20}
 finetune: {steps: 5, batch_size: 4, crop_frames: 20}
 adapt: {steps: 5, batch_size: 3, tgt_batch_size: 3, crop_frames: 20}
 """
+
+
+# values that each ended in a traceback, were truncated or were accepted
+BAD_VALUES = [
+    "corpus.domains=5", "corpus.domains=[5]", "pretrain.schedule=5", "model.group_dims=7",
+    "model.lde_components=abc", "seed=-1",
+    "corpus.domains=[{kind: clean}, {kind: farfield, smear_width: 2.5}]",
+    "pretrain.batch_size=3.9", "model.group_dims=[24.7,24,24,24]", "seed=1.5",
+    "pretrain.schedule.noam_dim=2.5", "adapt.steps=true", "corpus.identity_dim=0",
+    "adapt.bandwidth=nan", "adapt.schedule.lr0=inf",
+]
 
 
 def chain(root, cfg):
@@ -158,6 +170,14 @@ class TestExitCodes:
                    "--out", str(tmp_path / "r.report")])
         assert rc == 2
 
+    def test_non_finite_arch_entry_exits_2(self, env, tmp_path):
+        bogus = tmp_path / "arch.ckpt"
+        shutil.copy(env["ft"], bogus)
+        set_arch_entry(bogus, 3, float("nan"))
+        rc = main(["-q", "evaluate", "--ckpt", str(bogus), "--corpus", str(env["corpus"]),
+                   "--out", str(tmp_path / "r.report")])
+        assert rc == 2
+
     def test_unknown_domain(self, env, tmp_path):
         rc = main(["-q", "evaluate", "--ckpt", str(env["ft"]), "--corpus", str(env["corpus"]),
                    "--domain", "9", "--out", str(tmp_path / "r.report")])
@@ -205,7 +225,9 @@ class TestExitCodes:
         lambda tmp: ["--config", str(tmp / "absent.yaml")],
         lambda tmp: ["--config", str(tmp / "broken.yaml")],
         lambda tmp: ["--set", "adapt.steps=[1"],
-    ], ids=["missing-config-file", "yaml-syntax-error-in-file", "yaml-syntax-error-in-set"])
+        *[lambda tmp, item=item: ["--set", item] for item in BAD_VALUES],
+    ], ids=["missing-config-file", "yaml-syntax-error-in-file", "yaml-syntax-error-in-set",
+            *BAD_VALUES])
     def test_bad_config_input_exits_2(self, tmp_path, flags):
         (tmp_path / "broken.yaml").write_text("corpus: [1\n")
         rc = main(["-q", "gen-corpus", *flags(tmp_path), "--out", str(tmp_path / "c")])

@@ -165,6 +165,12 @@ class TestEer:
         assert eer == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert thr == pytest.approx(0.65, abs=1e-12)
 
+    def test_scores_one_ulp_apart_keep_their_operating_point(self):
+        # the midpoint of 0.5 and the next double rounds onto one of them
+        tight = equal_error_rate([0.3, np.nextafter(0.5, 1.0), 0.7, 0.9], [0.2, 0.4, 0.5, 0.6, 0.8])
+        spread = equal_error_rate([0.3, 0.55, 0.7, 0.9], [0.2, 0.4, 0.45, 0.6, 0.8])
+        assert tight[0] == spread[0] == pytest.approx(0.4, abs=1e-12)
+
     def test_matches_bruteforce_oracle(self):
         for seed in range(20):
             rng = np.random.default_rng(seed)

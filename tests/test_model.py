@@ -1,11 +1,13 @@
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from crossadapt import fileio
 from crossadapt.errors import (
     BadMagicError,
     BadVersionError,
@@ -27,7 +29,7 @@ from crossadapt.model import (
     splice_forward,
     trainable_names,
 )
-from conftest import micro_config
+from conftest import micro_config, set_arch_entry
 from gradcheck import grad_check
 
 
@@ -465,12 +467,14 @@ class TestCheckpoints:
         with pytest.raises(BadVersionError):
             load_checkpoint(path)
 
-    def test_fingerprint_from_other_config_rejected(self, micro_model, tmp_path):
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 4.5])
+    @pytest.mark.parametrize("slot", [0, 2, 16])
+    def test_non_integral_arch_entry_rejected(self, micro_model, tmp_path, slot, value):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, micro_model, "pretrain", 1)
-        other = micro_config(num_speakers=7)
-        with pytest.raises(FingerprintMismatchError):
-            load_checkpoint(path, expected_config=other)
+        set_arch_entry(path, slot, value)
+        with pytest.raises(FileFormatError):
+            load_checkpoint(path)
 
     def test_tampered_fingerprint_rejected(self, micro_model, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -504,8 +508,26 @@ class TestCheckpoints:
         assert peak < 2**20
 
     def test_unwritable_path_is_format_error(self, micro_model, tmp_path):
+        (tmp_path / "adir").mkdir()
+        for name in ("nodir/m.ckpt", "adir"):
+            with pytest.raises(FileFormatError):
+                save_checkpoint(tmp_path / name, micro_model, "pretrain", 1)
+        assert [p.name for p in tmp_path.iterdir()] == ["adir"]  # no temporary file left
+
+    def test_failed_write_keeps_previous_file(self, micro_model, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, micro_model, "pretrain", 1)
+        before = path.read_bytes()
+
+        def crash(src, dst):
+            assert Path(src).read_bytes()[:4] == b"XDCK"  # the new bytes are on disk
+            raise OSError("simulated crash before the rename")
+
+        monkeypatch.setattr(fileio.os, "replace", crash)
         with pytest.raises(FileFormatError):
-            save_checkpoint(tmp_path / "nodir" / "m.ckpt", micro_model, "pretrain", 1)
+            save_checkpoint(path, micro_model, "adapt", 2)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
     def test_loaded_model_runs_forward(self, micro_model, tmp_path, rng):
         path = tmp_path / "m.ckpt"

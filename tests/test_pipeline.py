@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import yaml
 
-from crossadapt.config import build_config
+from crossadapt.cli import main
+from crossadapt.config import SCHEMA, build_config
 from crossadapt.corpus import CorpusManifest, DomainSpec, gen_corpus
 from crossadapt.errors import ContractError, StructuralError
 from crossadapt.model import load_checkpoint
@@ -227,3 +229,86 @@ class TestAdapt:
         gen_corpus(tmp_path / "c4", 1, 4, 10, 30, domains, input_dim=6)
         with pytest.raises(StructuralError):
             adapt(chain["ft"], tmp_path / "c4", chain["cfg"], tmp_path / "x.ckpt")
+
+
+# a valid value for every key of the schema, other than the guard's base value
+OTHER_VALUES = {
+    "seed": "12",
+    "corpus.num_speakers": "5",
+    "corpus.utts_per_speaker": "11",
+    "corpus.frames_per_utt": "31",
+    "corpus.input_dim": "5",
+    "corpus.identity_dim": "3",
+    "corpus.id_scale": "0.5",
+    "corpus.sess_scale": "0.3",
+    "corpus.frame_sd": "0.4",
+    "corpus.ar_rho": "0.5",
+    "corpus.domains": "[{kind: clean}, {kind: farfield, smear_width: 3}, {kind: channel}]",
+    "model.group_dims": "[6, 6, 6, 5]",
+    "model.context": "[1, 0, 1, 0]",
+    "model.lde_components": "3",
+    "model.front_dims": "[7, 6]",
+    "model.back_dims": "[6, 4]",
+    "pretrain.steps": "5",
+    "pretrain.batch_size": "5",
+    "pretrain.crop_frames": "18",
+    "pretrain.seed": "3",
+    "pretrain.schedule.noam_dim": "32",
+    "pretrain.schedule.noam_warmup": "100",
+    "finetune.steps": "4",
+    "finetune.batch_size": "5",
+    "finetune.crop_frames": "18",
+    "finetune.seed": "3",
+    "adapt.steps": "4",
+    "adapt.batch_size": "4",
+    "adapt.tgt_batch_size": "4",
+    "adapt.crop_frames": "18",
+    "adapt.kernel": "rbf",
+    "adapt.bandwidth": "2.0",
+    "adapt.seed": "3",
+    "adapt.schedule.lr0": "0.003",
+    "adapt.schedule.alpha": "5.0",
+    "adapt.schedule.beta": "0.5",
+    "adapt.schedule.steepness": "5.0",
+}
+
+
+class TestEveryKeyIsRead:
+    def test_every_key_changes_the_first_artifact_that_reads_it(self, tmp_path):
+        """The manifest reads ``corpus.*``, the pretrain checkpoint ``seed`` and
+        ``model.*``, each stage's checkpoint its own section; every upstream
+        artifact comes from one shared base chain."""
+        assert set(OTHER_VALUES) == set(SCHEMA)
+        raw = tiny_raw()
+        raw["corpus"]["domains"][1] = {"kind": "channel"}  # gains follow input_dim
+        conf = tmp_path / "base.yaml"
+        conf.write_text(yaml.safe_dump(raw))
+        base = tmp_path / "base"
+
+        def run(stage, name, sets=()):
+            work = tmp_path / name
+            work.mkdir(exist_ok=True)
+            flags = ["--config", str(conf), *[f for s in sets for f in ("--set", s)]]
+            argv = {
+                "corpus": ["gen-corpus", "--out", str(work)],
+                "pretrain": ["pretrain", "--corpus", str(base), "--out", str(work / "pretrain")],
+                "finetune": ["finetune", "--init", str(base / "pretrain"), "--corpus", str(base),
+                             "--out", str(work / "finetune")],
+                "adapt": ["adapt", "--init", str(base / "finetune"), "--corpus", str(base),
+                          "--out", str(work / "adapt")],
+            }[stage]
+            assert main(["-q", *argv, *flags]) == 0, (stage, sets)
+            return (work / ("manifest.tsv" if stage == "corpus" else stage)).read_bytes()
+
+        reference = {stage: run(stage, "base") for stage in ("corpus", "pretrain", "finetune", "adapt")}
+        reference["rbf"] = run("adapt", "rbf", ["adapt.kernel=rbf"])
+        unread = []
+        for i, (key, value) in enumerate(sorted(OTHER_VALUES.items())):
+            section = key.split(".")[0]
+            stage = {"seed": "pretrain", "model": "pretrain"}.get(section, section)
+            sets = [f"{key}={value}"]
+            if key == "adapt.bandwidth":
+                sets.insert(0, "adapt.kernel=rbf")
+            if run(stage, f"k{i}", sets) == reference["rbf" if key == "adapt.bandwidth" else stage]:
+                unread.append(key)
+        assert unread == []
