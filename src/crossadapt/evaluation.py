@@ -6,6 +6,13 @@ subnet, while clean utterances are embedded as the average of all subnet
 outputs (the clean set has no subnet of its own). Everything is
 length-normalized at the end.
 
+Each evaluated domain takes one trunk pass: its enroll and test utterances
+go through a single ``Model.encode`` call, whose pooled rows do not depend
+on their batch. The subnets and the normalization then run one row at a
+time, since a one-row gemm is not always bit-equal to that row of a
+many-row product. So an utterance's embedding, and every report byte, is
+the same as if it had been embedded alone.
+
 EER is computed over operating points only (threshold sweep at score
 midpoints), with linear interpolation between the two bracketing points
 when no threshold hits FAR = FRR exactly; the result therefore depends only
@@ -28,7 +35,7 @@ __all__ = [
     "ScoreRecord",
     "DomainEval",
     "EvalReport",
-    "embed_utterance",
+    "embed_utterances",
     "enroll_speaker",
     "score_trials",
     "equal_error_rate",
@@ -53,12 +60,16 @@ def _normalize(vec: np.ndarray) -> np.ndarray:
     return vec / norm
 
 
-def embed_utterance(features, model, stage: str, domain_id: int) -> np.ndarray:
-    """Length-normalized utterance embedding under the given model stage.
+def embed_utterances(features_list, model, stage: str, domain_id: int) -> np.ndarray:
+    """Length-normalized embeddings [N x E] of utterances under a model stage.
 
     ``domain_id`` follows the corpus convention: 0 is clean, h >= 1 maps to
     subnet h-1. Clean utterances under an adapted model are embedded as the
     mean of all subnet outputs before normalization.
+
+    The trunk runs once over the whole list; subnets and normalization run
+    one row at a time, so each row is bit-equal to that utterance embedded
+    alone (see the module docstring).
     """
     if stage not in STAGES:
         raise ContractError(f"unknown model stage {stage!r}")
@@ -67,14 +78,16 @@ def embed_utterance(features, model, stage: str, domain_id: int) -> np.ndarray:
         raise UnknownDomainError(
             f"domain {domain_id} outside configured range 0..{num_targets}"
         )
-    (emb,), _ = model.encode([features], mode="eval")
-    if stage != "adapt":
-        return _normalize(emb)
-    if domain_id > 0:
-        out, _ = model.subnet_forward(emb, domain_id - 1, "full", mode="eval")
-        return _normalize(out[0])
-    outs = [model.subnet_forward(emb, h, "full", mode="eval")[0][0] for h in range(num_targets)]
-    return _normalize(np.mean(outs, axis=0))
+    if len(features_list) == 0:
+        raise ContractError("no utterances to embed")
+    embs, _ = model.encode(features_list, mode="eval")
+    if stage == "adapt":
+        subnets = [domain_id - 1] if domain_id > 0 else range(num_targets)
+        embs = [
+            np.mean([model.subnet_forward(emb, h, "full", mode="eval")[0][0] for h in subnets], axis=0)
+            for emb in embs
+        ]
+    return np.array([_normalize(emb) for emb in embs])
 
 
 def enroll_speaker(embeddings) -> np.ndarray:
@@ -209,18 +222,18 @@ def evaluate_domain(model, stage, manifest: CorpusManifest, root, domain_id):
     if not enroll or not test:
         raise ContractError(f"domain {domain_id} lacks enroll or test utterances")
     root = Path(root)
-
-    def embed(r):
-        return embed_utterance(read_features(root / r.relpath), model, stage, domain_id)
+    # one trunk pass over the domain; each file is read once
+    embs = embed_utterances([read_features(root / r.relpath) for r in enroll + test],
+                            model, stage, domain_id)
 
     by_speaker = {}
-    for r in enroll:
-        by_speaker.setdefault(r.speaker_id, []).append(embed(r))
-    models = np.array([enroll_speaker(embs) for embs in by_speaker.values()])
+    for r, emb in zip(enroll, embs):
+        by_speaker.setdefault(r.speaker_id, []).append(emb)
+    models = np.array([enroll_speaker(group) for group in by_speaker.values()])
     row_of = {s: i for i, s in enumerate(by_speaker)}
     trial_enroll = sorted(enroll, key=lambda r: r.utt_id)
     rows = [row_of[r.speaker_id] for r in trial_enroll]
-    scores = score_trials(models, np.array([embed(r) for r in test]), rows)
+    scores = score_trials(models, embs[len(enroll):], rows)
     is_target = np.equal.outer(
         [r.speaker_id for r in trial_enroll], [r.speaker_id for r in test]
     ).reshape(-1)

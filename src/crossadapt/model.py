@@ -405,15 +405,13 @@ class Model:
     def extractor_backward(self, dh, caches, grads, down_to_group: int = 1):
         """Accumulate extractor parameter grads; descend only to ``down_to_group``."""
         for g in range(NUM_GROUPS - 1, down_to_group - 2, -1):
-            name = f"g{g + 1}"
-            sp_cache, af_cache, relu_cache = caches[g]
+            sp_cache, (x, w), relu_cache = caches[g]
             dpre = relu_backward(dh, relu_cache)
-            dsp, dw, db = affine_backward(dpre, af_cache)
-            _accum(grads, f"{name}.W", dw)
-            _accum(grads, f"{name}.b", db)
-            if g == down_to_group - 1:
-                break
-            dh = splice_backward(dsp, sp_cache)
+            _accum(grads, f"g{g + 1}.W", x.T @ dpre)
+            _accum(grads, f"g{g + 1}.b", dpre.sum(axis=0))
+            # the input gradient of the lowest group reached is never used
+            if g >= down_to_group:
+                dh = splice_backward(dpre @ w.T, sp_cache)
 
     def encode(self, utts, mode: str = "train"):
         """Trunk pass over a list of frame matrices -> embeddings [N x K*D].

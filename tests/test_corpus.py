@@ -27,7 +27,7 @@ from crossadapt.errors import (
     TruncatedFileError,
     UnknownDomainError,
 )
-from crossadapt.evaluation import embed_utterance, evaluate_domain, score_trials
+from crossadapt.evaluation import embed_utterances, evaluate_domain, score_trials
 from crossadapt.model import Model
 from crossadapt.rng import substream
 
@@ -326,7 +326,8 @@ class TestTrials:
         assert evaluate_domain(model, "pretrain", man_shuffled, tmp_path, 2) == first
         assert seen[0].tobytes() == seen[1].tobytes()
         # one enroll utterance per speaker: its embedding is the speaker model
-        emb = {r.utt_id: embed_utterance(read_features(tmp_path / r.relpath), model, "pretrain", 2)
+        emb = {r.utt_id: embed_utterances([read_features(tmp_path / r.relpath)], model,
+                                          "pretrain", 2)[0]
                for r in man.select(2)}
         enroll = sorted(r.utt_id for r in man.select(2, "enroll"))
         test = sorted(r.utt_id for r in man.select(2, "test"))

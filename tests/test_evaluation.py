@@ -17,7 +17,7 @@ from crossadapt.evaluation import (
     EvalReport,
     ScoreRecord,
     compute_eer,
-    embed_utterance,
+    embed_utterances,
     enroll_speaker,
     equal_error_rate,
     evaluate_domain,
@@ -101,24 +101,29 @@ class TestEnroll:
             enroll_speaker([])
 
 
+def embed_one(x, model, stage, domain_id):
+    (emb,) = embed_utterances([x], model, stage, domain_id)
+    return emb
+
+
 class TestEmbed:
     def test_unit_norm_all_stages(self, generic_model, rng):
         x = rng.normal(size=(6, 4))
         for stage, dom in (("pretrain", 0), ("finetune", 1), ("adapt", 0), ("adapt", 2)):
-            emb = embed_utterance(x, generic_model, stage, dom)
+            emb = embed_one(x, generic_model, stage, dom)
             assert abs(np.linalg.norm(emb) - 1.0) < 1e-9
 
     def test_pretrain_is_normalized_trunk_output(self, generic_model, rng):
         x = rng.normal(size=(5, 4))
         (emb,), _ = generic_model.encode([x])
-        got = embed_utterance(x, generic_model, "pretrain", 0)
+        got = embed_one(x, generic_model, "pretrain", 0)
         assert np.allclose(got, emb / np.linalg.norm(emb), atol=1e-12)
 
     def test_adapt_target_uses_matching_subnet(self, generic_model, rng):
         x = rng.normal(size=(5, 4))
         (emb,), _ = generic_model.encode([x])
         out, _ = generic_model.subnet_forward(emb, 1, "full")
-        got = embed_utterance(x, generic_model, "adapt", 2)
+        got = embed_one(x, generic_model, "adapt", 2)
         assert np.allclose(got, out[0] / np.linalg.norm(out[0]), atol=1e-12)
 
     def test_adapt_clean_averages_subnets(self, generic_model, rng):
@@ -127,7 +132,7 @@ class TestEmbed:
         mean = np.mean(
             [generic_model.subnet_forward(emb, h, "full")[0][0] for h in range(2)], axis=0
         )
-        got = embed_utterance(x, generic_model, "adapt", 0)
+        got = embed_one(x, generic_model, "adapt", 0)
         assert np.allclose(got, mean / np.linalg.norm(mean), atol=1e-9)
 
     def test_tied_subnets_clean_equals_single_subnet(self, generic_model, rng):
@@ -136,23 +141,40 @@ class TestEmbed:
                 generic_model.params[name.replace("sub0.", "sub1.")][:] = generic_model.params[name]
         x = rng.normal(size=(5, 4))
         assert np.allclose(
-            embed_utterance(x, generic_model, "adapt", 0),
-            embed_utterance(x, generic_model, "adapt", 1),
+            embed_one(x, generic_model, "adapt", 0),
+            embed_one(x, generic_model, "adapt", 1),
             atol=1e-9,
         )
 
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_each_row_is_its_utterance_embedded_alone(self, generic_model, rng, stage):
+        """Bitwise: one call over a ragged list (two frame counts, the longer
+        ones interleaved) gives each utterance the bytes it gets on its own,
+        under every domain, including adapt's clean-domain subnet average."""
+        utts = [rng.normal(size=(t, 4)) for t in (7, 12, 7, 7, 12, 7, 12, 7, 7, 7, 12)]
+        for dom in range(3):
+            together = embed_utterances(utts, generic_model, stage, dom)
+            assert together.shape == (len(utts), 3 if stage == "adapt" else 8)
+            for i, x in enumerate(utts):
+                alone = embed_one(x, generic_model, stage, dom)
+                assert together[i].tobytes() == alone.tobytes(), (stage, dom, i)
+
+    def test_empty_list_rejected(self, generic_model):
+        with pytest.raises(ContractError):
+            embed_utterances([], generic_model, "pretrain", 0)
+
     def test_unknown_domain_rejected(self, generic_model, rng):
         with pytest.raises(UnknownDomainError):
-            embed_utterance(rng.normal(size=(4, 4)), generic_model, "adapt", 3)
+            embed_one(rng.normal(size=(4, 4)), generic_model, "adapt", 3)
 
     def test_unknown_stage_rejected(self, generic_model, rng):
         with pytest.raises(ContractError):
-            embed_utterance(rng.normal(size=(4, 4)), generic_model, "warmup", 0)
+            embed_one(rng.normal(size=(4, 4)), generic_model, "warmup", 0)
 
     def test_adapt_without_subnets_rejected(self, rng):
         model = Model.create(micro_config(), seed=1, with_subnets=False)
         with pytest.raises(StructuralError):
-            embed_utterance(rng.normal(size=(4, 4)), model, "adapt", 1)
+            embed_one(rng.normal(size=(4, 4)), model, "adapt", 1)
 
 
 class TestEer:
@@ -364,7 +386,7 @@ def reference_evaluate_domain(model, stage, manifest, root, domain_id):
 
     def embed_records(records):
         return {
-            r.utt_id: embed_utterance(read_features(Path(root) / r.relpath), model, stage, domain_id)
+            r.utt_id: embed_one(read_features(Path(root) / r.relpath), model, stage, domain_id)
             for r in records
         }
 
@@ -445,3 +467,21 @@ class TestMatchesPerTrialPath:
         assert np.allclose(scores, ref_scores, rtol=0.0, atol=1e-14)
         if ties == "embeddings":
             assert got.eer == 0.5
+
+
+class TestOneTrunkPassPerDomain:
+    def test_each_domain_is_encoded_by_one_call(self, micro_corpus, monkeypatch):
+        man, root = micro_corpus(3, 20, False)
+        model = jitter_params(Model.create(micro_config(), seed=3, with_subnets=True))
+        sizes = []
+        encode = Model.encode
+
+        def counting(self, utts, mode="train"):
+            sizes.append(len(utts))
+            return encode(self, utts, mode)
+
+        monkeypatch.setattr(Model, "encode", counting)
+        evaluate_model(model, "adapt", man, root, "x")
+        per_domain = [len(man.select(d, "enroll")) + len(man.select(d, "test"))
+                      for d in range(man.num_domains)]
+        assert sizes == per_domain, "evaluate_domain must make one Model.encode call per domain"

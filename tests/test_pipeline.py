@@ -57,7 +57,8 @@ def chain(tmp_path_factory):
     c = cfg.corpus
     corpus_dir = root / "corpus"
     gen_corpus(corpus_dir, cfg.seed, c.num_speakers, c.utts_per_speaker, c.frames_per_utt,
-               list(c.domains), input_dim=c.input_dim, identity_dim=c.identity_dim)
+               list(c.domains), input_dim=c.input_dim, identity_dim=c.identity_dim,
+               id_scale=c.id_scale, sess_scale=c.sess_scale, frame_sd=c.frame_sd, ar_rho=c.ar_rho)
     pre = root / "pre.ckpt"
     ft = root / "ft.ckpt"
     ad = root / "ad.ckpt"
@@ -173,6 +174,13 @@ class TestPretrain:
 
 
 class TestChain:
+    def test_corpus_is_the_one_its_config_names(self, chain, tmp_path):
+        conf = tmp_path / "tiny.yaml"
+        conf.write_text(yaml.safe_dump(tiny_raw()))
+        assert main(["-q", "gen-corpus", "--config", str(conf), "--out", str(tmp_path / "cli")]) == 0
+        ours = CorpusManifest.load(chain["corpus"] / "manifest.tsv")
+        assert ours.fingerprint == CorpusManifest.load(tmp_path / "cli" / "manifest.tsv").fingerprint
+
     def test_checkpoint_step_is_the_configured_step_count(self, chain):
         for key, stage in (("pre", "pretrain"), ("ft", "finetune"), ("ad", "adapt")):
             _, meta = load_checkpoint(chain[key])
