@@ -28,7 +28,7 @@ from .errors import (
     FileFormatError,
     StructuralError,
 )
-from .fileio import open_artifact, read_exact
+from .fileio import open_artifact, read_exact, write_artifact
 from .rng import substream
 
 FEATURE_MAGIC = b"XDAF"
@@ -136,7 +136,7 @@ class CorpusManifest:
             lines.append(
                 f"{r.utt_id}\t{r.speaker_id}\t{r.domain_id}\t{r.split}\t{r.relpath}\t{r.frames}\n"
             )
-        path.write_text("".join(lines), encoding="utf-8")
+        write_artifact(path, "".join(lines).encode("utf-8"), "corpus manifest")
 
     @classmethod
     def load(cls, path) -> "CorpusManifest":
@@ -276,12 +276,13 @@ def split_counts(utts_per_speaker: int):
     return utts_per_speaker - enroll - test, enroll, test
 
 
-def _ar1_noise(rng, frames: int, dim: int, sd: float, rho: float) -> np.ndarray:
-    w = rng.normal(size=(frames, dim))
-    out = np.empty((frames, dim))
+def _ar1_noise(w, sd: float, rho: float) -> np.ndarray:
+    """AR(1) noise with stationary sd from standard normal draws ``w``
+    [T, ..., D]; the recurrence runs over frames, for all other rows at once."""
+    out = np.empty_like(w)
     out[0] = sd * w[0]
     scale = sd * np.sqrt(1.0 - rho * rho)
-    for t in range(1, frames):
+    for t in range(1, len(w)):
         out[t] = rho * out[t - 1] + scale * w[t]
     return out
 
@@ -315,7 +316,9 @@ def gen_corpus(
 
     Deterministic per (seed, utterance): every random draw comes from a
     substream derived from the utterance identity, so generation order does
-    not affect the bytes produced.
+    not affect the bytes produced.  An old manifest in ``out_dir`` is
+    removed before the first feature file is written, and the new one is
+    written last, so an interrupted run leaves no manifest.
     """
     if num_speakers < 2:
         raise ContractError("need at least 2 speakers")
@@ -336,6 +339,8 @@ def gen_corpus(
     fingerprint = _gen_fingerprint(num_speakers, utts_per_speaker, frames_per_utt, domains, consts)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # a manifest beside partly rewritten feature files would load as a corpus
+    (out_dir / "manifest.tsv").unlink(missing_ok=True)
 
     proj = substream(seed, "proj").normal(size=(identity_dim, input_dim)) / np.sqrt(identity_dim)
     train_n, enroll_n, _ = split_counts(utts_per_speaker)
@@ -343,12 +348,16 @@ def gen_corpus(
     for s in range(num_speakers):
         identity = id_scale * substream(seed, "speaker", s).normal(size=identity_dim)
         base = identity @ proj
-        for u in range(utts_per_speaker):
-            stem = f"s{s:03d}_u{u:03d}"
+        stems = [f"s{s:03d}_u{u:03d}" for u in range(utts_per_speaker)]
+        # each utterance draws its session offset, then its frame noise, from
+        # its own stream; the noise recurrence runs once for the speaker
+        utt_rngs = [substream(seed, "utt", stem) for stem in stems]
+        sessions = [sess_scale * r.normal(size=input_dim) for r in utt_rngs]
+        draws = np.stack([r.normal(size=(frames_per_utt, input_dim)) for r in utt_rngs], axis=1)
+        frame_noise = _ar1_noise(draws, frame_sd, ar_rho)
+        for u, stem in enumerate(stems):
             split = "train" if u < train_n else "enroll" if u < train_n + enroll_n else "test"
-            utt_rng = substream(seed, "utt", stem)
-            session = sess_scale * utt_rng.normal(size=input_dim)
-            clean = base + session + _ar1_noise(utt_rng, frames_per_utt, input_dim, frame_sd, ar_rho)
+            clean = base + sessions[u] + frame_noise[:, u]
             for d, spec in enumerate(domains):
                 noise = substream(seed, "noise", stem, d)
                 feats = apply_domain_transform(clean, spec, noise)

@@ -117,8 +117,12 @@ def score_trials(models, tests, model_rows) -> np.ndarray:
 
     ``models`` is [S x E] and ``tests`` [N x E]; entry ``i * N + j`` scores
     ``models[model_rows[i]]`` against ``tests[j]``. One gemm covers the
-    distinct rows of each side, so a score depends only on its two vectors:
-    trials that share a model or an identical embedding score exactly alike.
+    distinct rows of each side, so within one call trials that share a
+    model or an identical embedding score exactly alike. Across calls a
+    score can differ in its last bits: the gemm reads ``tests.T``, a
+    transposed view, and for small products OpenBLAS 0.3.31 then takes
+    another kernel, whose rows depend on the rest of the product. So the
+    same pair can score a few ulps apart in domains of different size.
     """
     models = np.asarray(models, dtype=np.float64)
     tests = np.asarray(tests, dtype=np.float64)

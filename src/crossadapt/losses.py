@@ -265,7 +265,9 @@ def total_loss(
 
     ``p`` is training progress in [0, 1]. Pass a dict as ``grads`` to also
     accumulate analytic gradients for every parameter reached by the forward
-    pass; ``down_to_group`` bounds how deep the trunk backward descends.
+    pass. The batch holds the input of trunk group ``down_to_group``: raw
+    frames for 1, the frozen g1-g3 rows of each crop for 4. The trunk runs
+    from that group, and its backward descends to it.
     """
     if not 0.0 <= p <= 1.0:
         raise ContractError(f"progress must lie in [0, 1], got {p}")
@@ -277,7 +279,7 @@ def total_loss(
     # then each target domain's rows in domain order
     groups = (batch.src_utts, *batch.tgt_utts)
     cuts = np.cumsum([len(utts) for utts in groups])[:-1]
-    embs, enc_cache = model.encode([x for utts in groups for x in utts])
+    embs, enc_cache = model.encode([x for utts in groups for x in utts], first_group=down_to_group)
     src_embs, *tgt_embs = np.split(embs, cuts)
     src_sub = [model.subnet_forward(src_embs, h, "full") for h in range(num_domains)]
     dis = discrepancy_loss([cache["front"] for _, cache in src_sub])
@@ -310,5 +312,5 @@ def total_loss(
         dback = mu * dtgt_back + model.classifier_backward(dlogits, cls_cache, grads)
         dtgt_embs[h][...] = model.subnet_backward(dback, None, sub_cache, grads)
         dsrc_embs += model.subnet_backward(mu * dsrc_back, dis_grads[h], src_sub[h][1], grads)
-    model.encode_backward(dembs, enc_cache, grads, down_to_group)
+    model.encode_backward(dembs, enc_cache, grads)
     return out

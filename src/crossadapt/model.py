@@ -15,6 +15,17 @@ utterance and pools each group of equal frame count with one stacked
 frame order makes each pooled row exactly invariant to the order of its
 frames and to its batch, and a clamp keeps expanded distances non-negative.
 
+The trunk entry points take the first group to run.  Finetune and adapt
+freeze g1-g3, so they feed g4 with each crop's g3 rows from a
+``FrozenPrefix``: middle rows from a per-utterance table of g1-g3, the R
+edge rows at each end (R the summed g1-g3 context) from one stacked pass
+over every crop's 2R-frame end windows.  A stage builds the table only
+when the crop frames it saves outnumber the frames it costs (pipeline).
+Only the edge rows see the crop's replicated edges, so the rows equal
+running the crop whole, bit for bit, wherever a product row's bits do not
+depend on its product; that is checked per group shape before a table is
+built.
+
 All forward passes return caches sufficient for exact hand-derived
 backprop; the tests check every backward here against central differences.
 """
@@ -48,6 +59,7 @@ STAGES = ("pretrain", "finetune", "adapt")
 _STAGE_BYTE = {name: i for i, name in enumerate(STAGES)}
 
 NUM_GROUPS = 4
+FROZEN_GROUPS = 3  # finetune and adapt freeze g1-g3 (set_trainable)
 _ARCH_TENSOR = "arch"
 _ARCH_LEN = 17
 
@@ -180,15 +192,18 @@ def _scatter_index(t: int, context: int, d: int) -> np.ndarray:
 
 
 def splice_forward(x, context: int):
-    """Stack each frame with +-context neighbours, replicating edges."""
-    t = x.shape[0]
+    """Stack each frame of ``x`` [T, D] with +-context neighbours, replicating
+    edges; each window of a stack [N, T, D] is spliced on its own."""
+    t = x.shape[-2]
     if context == 0:
         return x, (x.shape, None)
     idx = _context_index(t, context)
-    return x[idx].reshape(t, -1), (x.shape, idx)
+    spliced = x[idx] if x.ndim == 2 else x[:, idx]
+    return spliced.reshape(x.shape[:-1] + (-1,)), (x.shape, idx)
 
 
 def splice_backward(dy, cache):
+    """Gradient of a 2-D splice: training splices one utterance at a time."""
     shape, idx = cache
     if idx is None:
         return dy
@@ -382,46 +397,66 @@ class Model:
 
     # -- trunk ------------------------------------------------------------
 
-    def extractor_forward(self, x, mode: str = "train"):
-        """Run frames [T x input_dim] through the four groups; T is preserved."""
+    def extractor_forward(self, x, mode: str = "train", first_group: int = 1):
+        """Run frames [T x D] through groups ``first_group``..4; T is preserved.
+
+        D is the input width of ``first_group``: the input dim for group 1,
+        else the width of the group below.  A stage whose lower groups are
+        frozen feeds their output here (see ``FrozenPrefix``), so the train
+        caches, and the backward, cover only the groups that train.
+        """
+        ex = self.config.extractor
+        if not 1 <= first_group <= NUM_GROUPS:
+            raise ContractError(f"first group must lie in 1..{NUM_GROUPS}, got {first_group}")
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] < 1:
-            raise StructuralError("extractor input must be a nonempty [T x input_dim] matrix")
-        if x.shape[1] != self.config.extractor.input_dim:
-            raise StructuralError(
-                f"extractor expects feature dim {self.config.extractor.input_dim}, got {x.shape[1]}"
-            )
+            raise StructuralError("extractor input must be a nonempty [T x D] matrix")
+        in_dim = ex.input_dim if first_group == 1 else ex.group_dims[first_group - 2]
+        if x.shape[1] != in_dim:
+            raise StructuralError(f"group g{first_group} expects feature dim {in_dim}, got {x.shape[1]}")
+        return self._groups_forward(x, first_group, NUM_GROUPS, mode)
+
+    def _groups_forward(self, h, first: int, last: int, mode: str):
+        """The one group loop: groups ``first``..``last`` over frames [T, D]
+        or a stack of windows [N, T, D].
+
+        Each window is spliced on its own, then one gemm per group covers
+        the rows of every window.  Returns the output and, in train mode,
+        one cache per group run.
+        """
         caches = [] if mode == "train" else None
-        h = x
-        for g in range(NUM_GROUPS):
-            name = f"g{g + 1}"
+        stacked = h.ndim == 3
+        for g in range(first - 1, last):
             spliced, sp_cache = splice_forward(h, self.config.extractor.context[g])
-            pre, af_cache = affine_forward(spliced, self.params[f"{name}.W"], self.params[f"{name}.b"])
-            h, relu_cache = relu_forward(pre)
+            rows = spliced.reshape(-1, spliced.shape[-1]) if stacked else spliced
+            pre, af_cache = affine_forward(rows, self.params[f"g{g + 1}.W"], self.params[f"g{g + 1}.b"])
+            out, relu_cache = relu_forward(pre)
+            h = out.reshape(h.shape[:-1] + (-1,)) if stacked else out
             if mode == "train":
                 caches.append((sp_cache, af_cache, relu_cache))
         return h, caches
 
-    def extractor_backward(self, dh, caches, grads, down_to_group: int = 1):
-        """Accumulate extractor parameter grads; descend only to ``down_to_group``."""
-        for g in range(NUM_GROUPS - 1, down_to_group - 2, -1):
-            sp_cache, (x, w), relu_cache = caches[g]
+    def extractor_backward(self, dh, caches, grads):
+        """Accumulate the parameter grads of every group the forward ran."""
+        first = NUM_GROUPS - len(caches)  # index of the lowest group run
+        for g in range(NUM_GROUPS - 1, first - 1, -1):
+            sp_cache, (x, w), relu_cache = caches[g - first]
             dpre = relu_backward(dh, relu_cache)
             _accum(grads, f"g{g + 1}.W", x.T @ dpre)
             _accum(grads, f"g{g + 1}.b", dpre.sum(axis=0))
-            # the input gradient of the lowest group reached is never used
-            if g >= down_to_group:
+            # the input gradient of the lowest group run is never used
+            if g > first:
                 dh = splice_backward(dpre @ w.T, sp_cache)
 
-    def encode(self, utts, mode: str = "train"):
+    def encode(self, utts, mode: str = "train", first_group: int = 1):
         """Trunk pass over a list of frame matrices -> embeddings [N x K*D].
 
-        The extractor runs per utterance.  Its outputs are grouped by frame
-        count and each group is pooled by one stacked ``lde_pool`` call; rows
-        come back in input order, and a row's bytes do not depend on which
-        other utterances share the list.
+        The extractor runs per utterance from ``first_group``.  Its outputs
+        are grouped by frame count and each group is pooled by one stacked
+        ``lde_pool`` call; rows come back in input order, and a row's bytes
+        do not depend on which other utterances share the list.
         """
-        outs, ex_caches = zip(*(self.extractor_forward(x, mode) for x in utts))
+        outs, ex_caches = zip(*(self.extractor_forward(x, mode, first_group) for x in utts))
         lengths = np.array([h.shape[0] for h in outs])
         embs = np.empty((len(outs), self.config.lde.output_dim))
         pools = []
@@ -432,16 +467,16 @@ class Model:
             pools.append((rows, lde_cache))
         return embs, (ex_caches, pools)
 
-    def encode_backward(self, demb, cache, grads, down_to_group: int = 1):
+    def encode_backward(self, demb, cache, grads):
         """Backward of ``encode`` for ``demb`` [N x K*D]; the trunk backward
-        descends only to ``down_to_group``."""
+        descends to the first group the forward ran."""
         ex_caches, pools = cache
         for rows, lde_cache in pools:
             dstack, ddict, dlog = lde_pool_backward(demb[rows], lde_cache)
             _accum(grads, "lde.dict", ddict)
             _accum(grads, "lde.log_scale", dlog)
             for i, dh in zip(rows, dstack):
-                self.extractor_backward(dh, ex_caches[i], grads, down_to_group)
+                self.extractor_backward(dh, ex_caches[i], grads)
 
     # -- per-domain blocks --------------------------------------------------
 
@@ -539,6 +574,79 @@ def _accum(grads: dict, name: str, value) -> None:
         grads[name] += value
     else:
         grads[name] = value
+
+
+# a gemm of fewer rows may take another BLAS path, whose rows need not be
+# bit-equal to the same rows of a larger product (tests/test_blas_rows.py)
+_MIN_GEMM_ROWS = 8
+
+
+@functools.lru_cache(maxsize=64)
+def _gemm_rows_exact(k: int, n: int) -> bool:
+    """Whether the BLAS gives each row of an [m x k] @ [k x n] product with
+    m >= 8 the same bits whatever the other rows.  Kernels take rows in
+    blocks of at most 16, so every row count 8..23 at 16 offsets of one
+    product meets every block tail.  Some shapes fail: with OpenBLAS 0.3.31
+    on x86-64, the last m % 4 rows differ when n % 8 is 1, 2 or 3 and
+    k >= 16."""
+    rng = np.random.default_rng(0)
+    x, w = rng.normal(size=(40, k)), rng.normal(size=(k, n))
+    full = x @ w
+    return all((x[a : a + m] @ w).tobytes() == full[a : a + m].tobytes()
+               for m in range(_MIN_GEMM_ROWS, 24) for a in range(16))
+
+
+class FrozenPrefix:
+    """Exact output of the frozen groups g1-g3 for training crops.
+
+    Finetune and adapt train only from g4 up, so g1-g3 see the same frames
+    at every step.  A crop replicates its own edge frames, and only its
+    R = sum(context[:3]) rows at each end see them: rows R..L-R-1 of a crop
+    of L frames at offset s equal rows s+R..s+L-R-1 of g1-g3 run over the
+    whole utterance.  So a crop of a tabled utterance reads its middle rows
+    from ``table`` and takes its R edge rows at each end from the 2R-frame
+    window there; the windows of all such crops go through g1-g3 in one
+    stacked [2N, 2R, D] pass, one gemm per group.  The rows are exact, not
+    close: a gemm row's bits do not depend on the other rows of a product
+    of at least 8 rows, which is checked per group shape before any table
+    is built.  Crops that are padded, have at most 2R or fewer than 8
+    frames, come from an untabled utterance, or would leave the edge pass
+    under 8 rows go through g1-g3 whole, as before.
+    """
+
+    def __init__(self, model: Model, utterances: dict):
+        """Table g1-g3 over each frame matrix in ``utterances`` (utterance
+        id -> frames).  An empty dict, or a group shape whose gemm rows
+        depend on their product, builds no table."""
+        self.model = model
+        self.halo = sum(model.config.extractor.context[:FROZEN_GROUPS])
+        if utterances and not all(_gemm_rows_exact(*model.params[f"g{g + 1}.W"].shape)
+                                  for g in range(FROZEN_GROUPS)):
+            utterances = {}
+        self.table = {u: self._run(x) for u, x in utterances.items()}
+
+    def _run(self, frames):
+        return self.model._groups_forward(frames, 1, FROZEN_GROUPS, "eval")[0]
+
+    def crop_rows(self, crops, keys):
+        """g3 rows [L x D] of each crop [L x input_dim], in order.
+
+        ``keys`` holds each crop's ``(utt_id, offset)``; offset None marks a
+        padded crop.
+        """
+        r = self.halo
+        tabled = [i for i, (crop, (utt, s)) in enumerate(zip(crops, keys))
+                  if s is not None and utt in self.table and len(crop) >= max(_MIN_GEMM_ROWS, 2 * r + 1)]
+        if r and 4 * r * len(tabled) < _MIN_GEMM_ROWS:
+            tabled = []
+        rows = [None] * len(crops)
+        if tabled and r:
+            edges = self._run(np.stack([w for i in tabled for w in (crops[i][: 2 * r], crops[i][-2 * r :])]))
+        for j, i in enumerate(tabled):
+            (utt, s), size = keys[i], len(crops[i])
+            middle = self.table[utt][s + r : s + size - r]
+            rows[i] = np.concatenate([edges[2 * j, :r], middle, edges[2 * j + 1, r:]]) if r else middle
+        return [self._run(crop) if out is None else out for crop, out in zip(crops, rows)]
 
 
 def set_trainable(model: Model, stage: str):

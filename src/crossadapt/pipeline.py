@@ -9,6 +9,15 @@ schedule while subnets and classifiers run ten times hotter).
 All randomness is drawn from substreams derived from the stage seed, so a
 stage rerun from the same checkpoint and seed reproduces its checkpoint
 byte for byte.
+
+Finetune and adapt never train g1-g3, so their batches hold each crop's g3
+rows (``model.FrozenPrefix``) and the trunk runs from g4.  At stage start
+they table g1-g3 over the train utterances they sample from when that
+pays: a tabled crop runs g1-g3 over its 4R edge-window frames instead of
+its L frames, so the table is built when n_crops * (L - 4R) exceeds the
+stage's train frame total.  The rule reads only the config and the
+manifest, and a table changes no byte, only the time and memory a stage
+takes.
 """
 
 from __future__ import annotations
@@ -22,7 +31,15 @@ from .config import AppConfig, StageConfig
 from .corpus import CorpusManifest, read_features
 from .errors import ContractError, FileFormatError, NumericError, StructuralError
 from .losses import DomainBatch, cross_entropy_grad, total_loss
-from .model import Model, load_checkpoint, save_checkpoint, set_trainable, trainable_names
+from .model import (
+    FROZEN_GROUPS,
+    FrozenPrefix,
+    Model,
+    load_checkpoint,
+    save_checkpoint,
+    set_trainable,
+    trainable_names,
+)
 from .numkit import OptimState, adam_step, inv_decay_lr, noam_lr, noam_peak
 from .rng import substream
 
@@ -46,50 +63,98 @@ def load_feature_store(manifest: CorpusManifest, root) -> dict:
     return {r.utt_id: read_features(root / r.relpath) for r in manifest.select(split="train")}
 
 
-def crop_utterance(features: np.ndarray, crop_frames: int, rng) -> np.ndarray:
-    """Random fixed-length crop; utterances shorter than the crop are
-    extended by replicating their last frame."""
+def crop_utterance(features: np.ndarray, crop_frames: int, rng):
+    """Random fixed-length crop and its offset. An utterance shorter than the
+    crop is extended by replicating its last frame; its offset is None."""
     t = features.shape[0]
     if t >= crop_frames:
         offset = int(rng.integers(0, t - crop_frames + 1))
-        return features[offset : offset + crop_frames]
+        return features[offset : offset + crop_frames], offset
     pad = np.repeat(features[-1:], crop_frames - t, axis=0)
-    return np.vstack([features, pad])
+    return np.vstack([features, pad]), None
 
 
 def _draw(records, store, rng, n, crop_frames):
+    """``n`` crops drawn with replacement: their frames, their
+    ``(utt_id, offset)`` keys and their speaker labels."""
     idx = rng.integers(0, len(records), size=n)
-    feats = [crop_utterance(store[records[i].utt_id], crop_frames, rng) for i in idx]
+    feats, keys = [], []
+    for i in idx:
+        crop, offset = crop_utterance(store[records[i].utt_id], crop_frames, rng)
+        feats.append(crop)
+        keys.append((records[i].utt_id, offset))
     labels = np.array([records[i].speaker_id for i in idx])
-    return feats, labels
+    return feats, keys, labels
 
 
-def sample_supervised(manifest, store, rng, cfg: StageConfig, clean_only: bool):
-    """Uniform-with-replacement batch for the softmax-head stages."""
+def _inputs(draws, prefix):
+    """Each draw's crops, or with a frozen prefix their g3 rows; one
+    ``crop_rows`` call covers every crop of the step."""
+    if prefix is None:
+        return [feats for feats, _, _ in draws]
+    rows = iter(prefix.crop_rows([f for feats, _, _ in draws for f in feats],
+                                 [k for _, keys, _ in draws for k in keys]))
+    return [[next(rows) for _ in feats] for feats, _, _ in draws]
+
+
+def sample_supervised(manifest, store, rng, cfg: StageConfig, clean_only: bool, prefix=None):
+    """Uniform-with-replacement batch for the softmax-head stages; with a
+    ``FrozenPrefix`` the batch holds each crop's g3 rows."""
     if clean_only:
         records = manifest.select(domain_id=0, split="train")
     else:
         records = manifest.select(split="train")
     if not records:
         raise ContractError("train split is empty")
-    return _draw(records, store, rng, cfg.batch_size, cfg.crop_frames)
+    draw = _draw(records, store, rng, cfg.batch_size, cfg.crop_frames)
+    return _inputs([draw], prefix)[0], draw[2]
 
 
-def sample_batches(manifest, store, rng, cfg: StageConfig) -> DomainBatch:
-    """One adaptation batch: clean samples plus one batch per target domain."""
+def sample_batches(manifest, store, rng, cfg: StageConfig, prefix=None) -> DomainBatch:
+    """One adaptation batch: clean samples plus one batch per target domain;
+    with a ``FrozenPrefix`` it holds each crop's g3 rows."""
     src_records = manifest.select(domain_id=0, split="train")
     if not src_records:
         raise ContractError("clean train split is empty")
-    src, src_labels = _draw(src_records, store, rng, cfg.batch_size, cfg.crop_frames)
-    tgt, tgt_labels = [], []
+    draws = [_draw(src_records, store, rng, cfg.batch_size, cfg.crop_frames)]
     for d in range(1, manifest.num_domains):
         records = manifest.select(domain_id=d, split="train")
         if not records:
             raise ContractError(f"domain {d} train split is empty")
-        f, y = _draw(records, store, rng, cfg.tgt_batch_size, cfg.crop_frames)
-        tgt.append(f)
-        tgt_labels.append(y)
+        draws.append(_draw(records, store, rng, cfg.tgt_batch_size, cfg.crop_frames))
+    src, *tgt = _inputs(draws, prefix)
+    src_labels, *tgt_labels = [labels for _, _, labels in draws]
     return DomainBatch(src, src_labels, tgt, tgt_labels)
+
+
+def _sampled_records(manifest, cfg: StageConfig):
+    """The train records a finetune or adapt step samples from, and the
+    number of crops it takes."""
+    if cfg.stage == "finetune":
+        return manifest.select(domain_id=0, split="train"), cfg.batch_size
+    return manifest.select(split="train"), cfg.batch_size + (manifest.num_domains - 1) * cfg.tgt_batch_size
+
+
+def _table_pays(cfg: StageConfig, manifest, extractor) -> bool:
+    """Whether the stage tables g1-g3 over its train utterances.
+
+    A crop read from the table runs g1-g3 over its two 2R-frame edge windows
+    instead of its L frames, so over the stage the table saves
+    ``n_crops * (L - 4R)`` frames of work; building it costs one pass over
+    the stage's train frames.  It is built only when that pays, which on a
+    wide corpus trained for few steps it does not, and the table would only
+    add memory.
+    """
+    records, per_step = _sampled_records(manifest, cfg)
+    halo = sum(extractor.context[:FROZEN_GROUPS])
+    return cfg.steps * per_step * (cfg.crop_frames - 4 * halo) > sum(r.frames for r in records)
+
+
+def _frozen_prefix(model, manifest, store, cfg: StageConfig) -> FrozenPrefix:
+    """The g1-g3 rows of a finetune or adapt stage, tabled when that pays."""
+    records, _ = _sampled_records(manifest, cfg)
+    pays = _table_pays(cfg, manifest, model.config.extractor)
+    return FrozenPrefix(model, {r.utt_id: store[r.utt_id] for r in records} if pays else {})
 
 
 # -- the training loop ------------------------------------------------------------
@@ -126,17 +191,18 @@ def _train(model, stage, cfg: StageConfig, step, lr_at, out_path):
     return model
 
 
-def _supervised_step(model, manifest, store, cfg: StageConfig, clean_only: bool, down_to: int):
-    """Softmax-head step of pretrain and finetune; the trunk backward stops
-    at group ``down_to``."""
+def _supervised_step(model, manifest, store, cfg: StageConfig, clean_only: bool, prefix=None):
+    """Softmax-head step of pretrain and finetune. With a ``FrozenPrefix``
+    the trunk runs, and its backward descends, from g4 only."""
+    first = 1 if prefix is None else FROZEN_GROUPS + 1
 
     def step(k, rng, grads):
-        feats, labels = sample_supervised(manifest, store, rng, cfg, clean_only=clean_only)
-        embs, cache = model.encode(feats)
+        feats, labels = sample_supervised(manifest, store, rng, cfg, clean_only, prefix)
+        embs, cache = model.encode(feats, first_group=first)
         logits, head_cache = model.head_forward(embs)
         loss, dlogits = cross_entropy_grad(logits, labels)
         demb = model.head_backward(dlogits, head_cache, grads)
-        model.encode_backward(demb, cache, grads, down_to_group=down_to)
+        model.encode_backward(demb, cache, grads)
         return loss, ""
 
     return step
@@ -159,7 +225,7 @@ def pretrain(corpus_root, app: AppConfig, out_path):
     )
     store = load_feature_store(manifest, corpus_root)
     _seed_dictionary(model, manifest, store, cfg.seed)
-    step = _supervised_step(model, manifest, store, cfg, clean_only=False, down_to=1)
+    step = _supervised_step(model, manifest, store, cfg, clean_only=False)
     return _train(model, "pretrain", cfg, step, lambda k: noam_lr(k + 1, cfg.schedule), out_path)
 
 
@@ -188,7 +254,8 @@ def finetune(init_ckpt, corpus_root, app: AppConfig, out_path):
     cfg = app.finetune
     lr = 0.1 * noam_peak(app.pretrain.schedule)
     store = load_feature_store(manifest, corpus_root)
-    step = _supervised_step(model, manifest, store, cfg, clean_only=True, down_to=4)
+    prefix = _frozen_prefix(model, manifest, store, cfg)
+    step = _supervised_step(model, manifest, store, cfg, clean_only=True, prefix=prefix)
     return _train(model, "finetune", cfg, step, lambda k: lr, out_path)
 
 
@@ -211,17 +278,18 @@ def adapt(init_ckpt, corpus_root, app: AppConfig, out_path):
     cfg = app.adapt
     model.ensure_subnets(cfg.seed)
     store = load_feature_store(manifest, corpus_root)
+    prefix = _frozen_prefix(model, manifest, store, cfg)
 
     def progress(k):
         # runs exactly 0 -> 1 across the configured steps
         return k / (cfg.steps - 1) if cfg.steps > 1 else 1.0
 
     def step(k, rng, grads):
-        batch = sample_batches(manifest, store, rng, cfg)
+        batch = sample_batches(manifest, store, rng, cfg, prefix)
         out = total_loss(
             batch, model, progress(k),
             kernel=cfg.kernel, bandwidth=cfg.bandwidth,
-            steepness=cfg.schedule.steepness, grads=grads, down_to_group=4,
+            steepness=cfg.schedule.steepness, grads=grads, down_to_group=FROZEN_GROUPS + 1,
         )
         detail = f" (dis {out.dis:.4f} mmd {out.mmd:.4f} cls {out.cls:.4f} mu {out.mu:.3f})"
         return out.total, detail

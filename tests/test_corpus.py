@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crossadapt import evaluation
+from crossadapt import corpus, evaluation
+from crossadapt.cli import main
 from crossadapt.corpus import (
     CorpusManifest,
     DomainSpec,
@@ -28,6 +29,7 @@ from crossadapt.errors import (
     UnknownDomainError,
 )
 from crossadapt.evaluation import embed_utterances, evaluate_domain, score_trials
+from crossadapt.rng import substream
 from crossadapt.model import Model
 from crossadapt.rng import substream
 
@@ -280,6 +282,55 @@ class TestGenCorpus:
         victim.unlink()
         with pytest.raises(StructuralError):
             man.verify_files(tmp_path)
+
+
+def reference_ar1_noise(rng, frames, dim, sd, rho):
+    """The frame noise as first written: one utterance, one frame at a time."""
+    w = rng.normal(size=(frames, dim))
+    out = np.empty((frames, dim))
+    out[0] = sd * w[0]
+    scale = sd * np.sqrt(1.0 - rho * rho)
+    for t in range(1, frames):
+        out[t] = rho * out[t - 1] + scale * w[t]
+    return out
+
+
+class TestFrameNoise:
+    @pytest.mark.parametrize("frames,utts,dim,rho", [(1, 3, 4, 0.7), (2, 1, 1, 0.0), (100, 10, 20, 0.7),
+                                                     (200, 7, 5, 0.95), (37, 4, 3, 0.3)])
+    def test_stacked_recurrence_matches_the_per_utterance_loop(self, frames, utts, dim, rho):
+        rngs = [substream(frames, "ref", u) for u in range(utts)]
+        want = [reference_ar1_noise(r, frames, dim, 0.5, rho) for r in rngs]
+        rngs = [substream(frames, "ref", u) for u in range(utts)]
+        got = corpus._ar1_noise(np.stack([r.normal(size=(frames, dim)) for r in rngs], axis=1), 0.5, rho)
+        for u in range(utts):
+            assert got[:, u].tobytes() == want[u].tobytes()
+
+
+class TestInterruptedGeneration:
+    def test_no_manifest_survives_a_failed_rewrite(self, tmp_path, monkeypatch):
+        """A rewrite that dies after some feature files leaves no manifest, so
+        no stage loads the mixed corpus."""
+        kw = dict(seed=3, num_speakers=3, utts_per_speaker=10, frames_per_utt=20,
+                  domains=small_domains(), input_dim=6)
+        gen_corpus(tmp_path / "c", **kw)
+        assert (tmp_path / "c" / "manifest.tsv").is_file()
+        write = corpus.write_features
+        calls = []
+
+        def failing(path, feats):
+            calls.append(path)
+            if len(calls) == 7:
+                raise OSError("disk full")
+            write(path, feats)
+
+        monkeypatch.setattr(corpus, "write_features", failing)
+        with pytest.raises(OSError):
+            gen_corpus(tmp_path / "c", **{**kw, "seed": 4})
+        assert len(calls) == 7
+        assert not (tmp_path / "c" / "manifest.tsv").exists()
+        assert main(["-q", "pretrain", "--corpus", str(tmp_path / "c"), "--out", str(tmp_path / "p.ckpt")]) == 2
+        assert not (tmp_path / "p.ckpt").exists()
 
 
 class TestTrials:

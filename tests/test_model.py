@@ -19,7 +19,12 @@ from crossadapt.errors import (
     UnknownDomainError,
 )
 from crossadapt.model import (
+    ExtractorConfig,
+    FrozenPrefix,
+    LdeConfig,
     Model,
+    ModelConfig,
+    SubnetConfig,
     lde_pool,
     lde_pool_backward,
     load_checkpoint,
@@ -29,7 +34,7 @@ from crossadapt.model import (
     splice_forward,
     trainable_names,
 )
-from conftest import micro_config, set_arch_entry
+from conftest import jitter_params, micro_config, set_arch_entry
 from gradcheck import grad_check
 
 
@@ -75,17 +80,19 @@ class TestExtractor:
                 model.params[n][...] = pt[n]
             out, cache = model.extractor_forward(x)
             grads = {}
-            model.extractor_backward(probe.copy(), cache, grads, down_to_group=1)
+            model.extractor_backward(probe.copy(), cache, grads)
             return float(np.sum(out * probe)), {n: grads[n] for n in names}
 
         err = grad_check(f, point)
         assert err < 1e-4
 
     def test_backward_down_to_group_limits_grads(self, micro_model, rng):
-        out, cache = micro_model.extractor_forward(rng.normal(size=(5, 4)))
+        """A forward from g4 (the stages that freeze g1-g3) caches, and
+        backpropagates into, g4 alone."""
+        out, cache = micro_model.extractor_forward(rng.normal(size=(5, 4)), first_group=4)
         grads = {}
-        micro_model.extractor_backward(np.ones_like(out), cache, grads, down_to_group=4)
-        assert set(grads) == {"g4.W", "g4.b"}
+        micro_model.extractor_backward(np.ones_like(out), cache, grads)
+        assert len(cache) == 1 and set(grads) == {"g4.W", "g4.b"}
 
 
 def reference_splice_forward(x, context):
@@ -333,6 +340,89 @@ class TestBatchComposition:
         assert set(grads) == set(summed)
         for name in grads:
             assert np.allclose(grads[name], summed[name], rtol=1e-12, atol=1e-12), name
+
+
+def reference_g3(model, crop):
+    """g1-g3 over one crop as the stages ran them before the frozen prefix:
+    per crop, with the splice as first written."""
+    h = crop
+    for g in range(3):
+        spliced, _ = reference_splice_forward(h, model.config.extractor.context[g])
+        h = np.maximum(spliced @ model.params[f"g{g + 1}.W"] + model.params[f"g{g + 1}.b"], 0.0)
+    return h
+
+
+@st.composite
+def prefix_cases(draw):
+    """A trunk, utterances of mixed length and crops at drawn offsets; a
+    crop longer than its utterance is padded (offset None)."""
+    context = tuple(draw(st.integers(0, 3)) for _ in range(4))
+    r = sum(context[:3])
+    size = draw(st.sampled_from(sorted({n for n in (1, 5, 7, 8, 9, 2 * r, 2 * r + 1, 4 * r + 1, 30) if n >= 1})))
+    lengths = draw(st.lists(st.integers(1, size + 30), min_size=1, max_size=4))
+    crops = []
+    for _ in range(draw(st.integers(1, 8))):
+        u = draw(st.integers(0, len(lengths) - 1))
+        room = lengths[u] - size
+        offset = None if room < 0 else draw(st.sampled_from([0, room, draw(st.integers(0, room))]))
+        crops.append((u, offset))
+    return {"context": context, "widths": tuple(draw(st.integers(1, 12)) for _ in range(4)),
+            "input_dim": draw(st.integers(1, 6)), "size": size, "lengths": lengths, "crops": crops}
+
+
+def _case(context, size, lengths, crops, widths=(5, 7, 3, 4), input_dim=3):
+    return {"context": context, "widths": widths, "input_dim": input_dim, "size": size,
+            "lengths": lengths, "crops": crops}
+
+
+class TestFrozenPrefix:
+    @given(prefix_cases(), st.integers(0, 2**32 - 1))
+    @example(_case((2, 1, 1, 0), 60, [100, 100], [(0, 0), (1, 40), (0, 17), (1, 0)]), 1)  # default shapes
+    @example(_case((1, 1, 0, 2), 4, [30, 30], [(0, 0), (1, 26), (0, 9)]), 2)  # L = 2R
+    @example(_case((1, 1, 1, 0), 7, [30, 30], [(0, 0), (1, 23), (0, 3)]), 3)  # L = 2R + 1 < 8
+    @example(_case((2, 2, 1, 0), 11, [11, 40], [(0, 0), (1, 29), (1, 0)]), 4)  # L = 2R + 1
+    @example(_case((0, 0, 0, 1), 9, [9, 20], [(0, 0), (1, 11), (1, 5)], widths=(2, 9, 1, 3)), 5)  # R = 0
+    @example(_case((1, 0, 0, 0), 12, [20, 5], [(0, 8), (1, None), (0, 0)]), 6)  # padded, one tabled crop
+    @example(_case((0, 2, 0, 3), 10, [4, 30], [(0, None), (1, 20), (1, 0), (0, None)]), 7)  # padded
+    @settings(max_examples=300, deadline=None)
+    def test_rows_equal_the_per_crop_rows_bit_for_bit(self, case, seed):
+        rng = np.random.default_rng(seed)
+        config = ModelConfig(
+            extractor=ExtractorConfig(case["input_dim"], case["widths"], case["context"]),
+            lde=LdeConfig(num_components=2, component_dim=case["widths"][3]),
+            subnet=SubnetConfig(front_dims=(5, 4), back_dims=(4, 3), num_domains=2),
+            num_speakers=3,
+        )
+        model = jitter_params(Model.create(config, seed=seed % 1000), seed=seed, scale=0.3)
+        store = {f"u{i}": rng.normal(size=(t, case["input_dim"])) for i, t in enumerate(case["lengths"])}
+        size = case["size"]
+        crops, keys = [], []
+        for u, offset in case["crops"]:
+            x = store[f"u{u}"]
+            crops.append(np.vstack([x, np.repeat(x[-1:], size - len(x), axis=0)]) if offset is None
+                         else x[offset : offset + size])
+            keys.append((f"u{u}", offset))
+        for table in (store, {}):
+            rows = FrozenPrefix(model, table).crop_rows(crops, keys)
+            assert len(rows) == len(crops)
+            for crop, got in zip(crops, rows):
+                want = reference_g3(model, crop)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                # and g4 from the g3 rows is the full trunk over the crop
+                full, _ = model.extractor_forward(crop)
+                from_g4, _ = model.extractor_forward(got, first_group=4)
+                assert from_g4.tobytes() == full.tobytes()
+
+    def test_tabled_crops_read_the_table(self, generic_model, rng):
+        """At default-like shapes the middle rows of a tabled crop are the
+        table's rows, so the edge path, not the whole-crop path, made them."""
+        store = {"a": rng.normal(size=(40, 4))}
+        prefix = FrozenPrefix(generic_model, store)
+        assert prefix.halo == 1  # micro context (0, 1, 0, 0)
+        prefix.table["a"] = prefix.table["a"] + 1.0  # mark the table's rows
+        rows = prefix.crop_rows([store["a"][5:25], store["a"][0:20]], [("a", 5), ("a", 0)])
+        assert np.array_equal(rows[0][1:-1], prefix.table["a"][6:24])
+        assert np.array_equal(rows[1][1:-1], prefix.table["a"][1:19])
 
 
 class TestSubnetAndClassifier:

@@ -5,8 +5,9 @@ import pytest
 import yaml
 
 from crossadapt.cli import main
-from crossadapt.config import SCHEMA, build_config
-from crossadapt.corpus import CorpusManifest, DomainSpec, gen_corpus
+from crossadapt import pipeline
+from crossadapt.config import SCHEMA, build_config, load_config
+from crossadapt.corpus import CorpusManifest, DomainSpec, ManifestRecord, gen_corpus, split_counts
 from crossadapt.errors import ContractError, StructuralError
 from crossadapt.model import load_checkpoint
 from crossadapt.pipeline import (
@@ -71,20 +72,20 @@ def chain(tmp_path_factory):
 class TestCrop:
     def test_exact_length_passthrough(self, rng):
         x = np.arange(12.0).reshape(4, 3)
-        out = crop_utterance(x, 4, rng)
-        assert np.array_equal(out, x)
+        out, offset = crop_utterance(x, 4, rng)
+        assert np.array_equal(out, x) and offset == 0
 
     def test_crop_window_is_contiguous(self, rng):
         x = np.arange(30.0).reshape(10, 3)
-        out = crop_utterance(x, 4, rng)
+        out, offset = crop_utterance(x, 4, rng)
         assert out.shape == (4, 3)
         start = int(out[0, 0] // 3)
-        assert np.array_equal(out, x[start : start + 4])
+        assert np.array_equal(out, x[start : start + 4]) and offset == start
 
     def test_short_utterance_replicates_last_frame(self, rng):
         x = np.arange(6.0).reshape(2, 3)
-        out = crop_utterance(x, 5, rng)
-        assert out.shape == (5, 3)
+        out, offset = crop_utterance(x, 5, rng)
+        assert out.shape == (5, 3) and offset is None
         assert np.array_equal(out[:2], x)
         for t in range(2, 5):
             assert np.array_equal(out[t], x[-1])
@@ -237,6 +238,61 @@ class TestAdapt:
         gen_corpus(tmp_path / "c4", 1, 4, 10, 30, domains, input_dim=6)
         with pytest.raises(StructuralError):
             adapt(chain["ft"], tmp_path / "c4", chain["cfg"], tmp_path / "x.ckpt")
+
+
+class TestFrozenPrefix:
+    @pytest.mark.parametrize("table", [True, False])
+    def test_checkpoints_do_not_depend_on_the_table(self, chain, tmp_path, monkeypatch, table):
+        """The tiny stages build no table by the rule; forced on, every crop
+        takes the table-and-edge path, and the checkpoints keep their bytes."""
+        built = []
+        make = pipeline._frozen_prefix
+
+        def spy(*args):
+            built.append(make(*args))
+            return built[-1]
+
+        monkeypatch.setattr(pipeline, "_table_pays", lambda *args: table)
+        monkeypatch.setattr(pipeline, "_frozen_prefix", spy)
+        finetune(chain["pre"], chain["corpus"], chain["cfg"], tmp_path / "ft.ckpt")
+        adapt(chain["ft"], chain["corpus"], chain["cfg"], tmp_path / "ad.ckpt")
+        assert [bool(p.table) for p in built] == [table, table]
+        assert (tmp_path / "ft.ckpt").read_bytes() == chain["ft"].read_bytes()
+        assert (tmp_path / "ad.ckpt").read_bytes() == chain["ad"].read_bytes()
+
+
+# perfbench/run.py's bench-size overrides, per workload
+BENCH_SETS = {
+    "recipe": ["pretrain.steps=10", "finetune.steps=50", "adapt.steps=50"],
+    "scratch-train": ["pretrain.steps=180", "finetune.steps=15", "adapt.steps=8"],
+    "eval-wide": ["corpus.num_speakers=64", "corpus.frames_per_utt=200", "pretrain.steps=60",
+                  "finetune.steps=30", "adapt.steps=20", "adapt.kernel=rbf"],
+}
+
+
+def manifest_of(corpus):
+    """The manifest ``gen-corpus`` writes for ``corpus``, without the files."""
+    train, enroll, _ = split_counts(corpus.utts_per_speaker)
+    records = [
+        ManifestRecord(f"s{s:03d}_u{u:03d}_d{d}", s, d,
+                       "train" if u < train else "enroll" if u < train + enroll else "test",
+                       f"d{d}/s{s:03d}_u{u:03d}_d{d}.xdaf", corpus.frames_per_utt)
+        for s in range(corpus.num_speakers) for u in range(corpus.utts_per_speaker)
+        for d in range(len(corpus.domains))
+    ]
+    return CorpusManifest(1, corpus.num_speakers, "f" * 32, records)
+
+
+@pytest.mark.parametrize("workload,tabled", [("recipe", True), ("scratch-train", False),
+                                             ("eval-wide", False)])
+def test_table_rule_at_bench_size(workload, tabled):
+    """A table pays where many steps crop few utterances (recipe); not in a
+    short finetune and adapt (scratch-train) or over a wide corpus (eval-wide)."""
+    app = load_config(sets=BENCH_SETS[workload])
+    manifest = manifest_of(app.corpus)
+    extractor = app.model_config(manifest.num_speakers, manifest.num_domains - 1).extractor
+    for cfg in (app.finetune, app.adapt):
+        assert pipeline._table_pays(cfg, manifest, extractor) is tabled, cfg.stage
 
 
 # a valid value for every key of the schema, other than the guard's base value
