@@ -8,6 +8,7 @@ check fails, 3 when training hits a numeric failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import logging
 import sys
 from pathlib import Path
@@ -29,6 +30,30 @@ from .fileio import write_artifact
 from .model import load_checkpoint
 
 log = logging.getLogger("crossadapt")
+
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_pages() -> None:
+    """Have glibc keep freed heap pages for the next allocation.
+
+    A training step frees numpy temporaries of a few hundred KB.  By default
+    glibc maps blocks that size afresh and returns freed heap tops to the
+    kernel, so each step faults the same pages in again (about 1,700 minor
+    faults per step of the default adapt stage).  A 32 MiB mmap threshold,
+    the 64-bit maximum, and a 256 MiB trim threshold keep them in the heap.
+    The call changes no number, only this process's allocator; where the C
+    library has no ``mallopt`` it does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
 def _config_of(args):
@@ -147,6 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_pages()
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.WARNING if args.quiet else logging.INFO,

@@ -84,7 +84,7 @@ def embed_utterances(features_list, model, stage: str, domain_id: int) -> np.nda
     if stage == "adapt":
         subnets = [domain_id - 1] if domain_id > 0 else range(num_targets)
         embs = [
-            np.mean([model.subnet_forward(emb, h, "full", mode="eval")[0][0] for h in subnets], axis=0)
+            np.mean([model.subnet_forward(emb, h, mode="eval")[0][0] for h in subnets], axis=0)
             for emb in embs
         ]
     return np.array([_normalize(emb) for emb in embs])

@@ -47,13 +47,16 @@ class DomainBatch:
     ``src_utts`` are clean-domain utterances (frame matrices); ``tgt_utts``
     holds one utterance list per target domain, with speaker labels for each
     side. Both sides need at least two samples so the unbiased MMD estimator
-    is defined.
+    is defined. ``crops``, when given, holds every sample as one stack
+    [N x L x D], clean first and then each target domain in order, so that
+    ``total_loss`` encodes it without stacking the samples again.
     """
 
     src_utts: list = field(default_factory=list)
     src_labels: np.ndarray = None
     tgt_utts: list = field(default_factory=list)
     tgt_labels: list = field(default_factory=list)
+    crops: np.ndarray = None
 
     def __post_init__(self):
         if len(self.src_utts) < 2:
@@ -71,6 +74,8 @@ class DomainBatch:
                 raise StructuralError(f"domain {h} needs at least 2 samples")
             if labels.shape != (len(utts),):
                 raise StructuralError(f"domain {h} label count does not match sample count")
+        if self.crops is not None and len(self.crops) != len(self.src_utts) + sum(map(len, self.tgt_utts)):
+            raise StructuralError("stacked crops do not match the sample count")
 
     @property
     def num_domains(self) -> int:
@@ -279,16 +284,17 @@ def total_loss(
     # then each target domain's rows in domain order
     groups = (batch.src_utts, *batch.tgt_utts)
     cuts = np.cumsum([len(utts) for utts in groups])[:-1]
-    embs, enc_cache = model.encode([x for utts in groups for x in utts], first_group=down_to_group)
+    utts = batch.crops if batch.crops is not None else [x for utts in groups for x in utts]
+    embs, enc_cache = model.encode(utts, first_group=down_to_group)
     src_embs, *tgt_embs = np.split(embs, cuts)
-    src_sub = [model.subnet_forward(src_embs, h, "full") for h in range(num_domains)]
+    src_sub = [model.subnet_forward(src_embs, h) for h in range(num_domains)]
     dis = discrepancy_loss([cache["front"] for _, cache in src_sub])
 
     tgt_sub = []
     mmd_vals, mmd_grads = [], []
     cls_total = 0.0
     for h in range(num_domains):
-        back, cache = model.subnet_forward(tgt_embs[h], h, "full")
+        back, cache = model.subnet_forward(tgt_embs[h], h)
         logits, cls_cache = model.classifier_forward(back, h)
         ce, dlogits = cross_entropy_grad(logits, batch.tgt_labels[h])
         cls_total += ce

@@ -9,11 +9,21 @@ four-layer subnet plus one classifier per target domain.  Each subnet
 splits into a ``front`` half (where per-domain agreement is encouraged)
 and a ``back`` half (the alignment/embedding space).
 
-``Model.encode`` is the one trunk entry point: it runs the extractor per
-utterance and pools each group of equal frame count with one stacked
+``Model.encode`` is the one trunk entry point.  It groups utterances by
+frame count.  In training it runs the extractor once per group, all of a
+batch's crops as one stack [N, L, D] with one gemm per layer group, and in
+evaluation once per utterance.  Each group is pooled with one stacked
 ``lde_pool`` call, in matrix form with no [T, K, D] tensor.  A canonical
 frame order makes each pooled row exactly invariant to the order of its
 frames and to its batch, and a clamp keeps expanded distances non-negative.
+
+The stack changes no bit.  Each crop's rows equal its own product's rows
+wherever a product row's bits do not depend on the other rows, and the
+stack's weight grads are each crop's own product summed over the crops in
+order, as adding them crop by crop did.  ``_stacks_exactly`` checks the row
+fact per group shape, for the forward ``x @ W`` and for the input gradient
+``dpre @ W.T``; shapes that fail it, and crops under 8 frames, run crop by
+crop through the same code.
 
 The trunk entry points take the first group to run.  Finetune and adapt
 freeze g1-g3, so they feed g4 with each crop's g3 rows from a
@@ -22,9 +32,7 @@ edge rows at each end (R the summed g1-g3 context) from one stacked pass
 over every crop's 2R-frame end windows.  A stage builds the table only
 when the crop frames it saves outnumber the frames it costs (pipeline).
 Only the edge rows see the crop's replicated edges, so the rows equal
-running the crop whole, bit for bit, wherever a product row's bits do not
-depend on its product; that is checked per group shape before a table is
-built.
+running the crop whole, bit for bit, under the same row fact.
 
 All forward passes return caches sufficient for exact hand-derived
 backprop; the tests check every backward here against central differences.
@@ -184,9 +192,11 @@ def _context_index(t: int, context: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _scatter_index(t: int, context: int, d: int) -> np.ndarray:
-    """Flat position in the [t x d] input of each spliced value, in (t, j, d) order."""
+def _scatter_index(n: int, t: int, context: int, d: int) -> np.ndarray:
+    """Flat position in the [n x t x d] input of each spliced value, in
+    (window, t, j, d) order: each window scatters into its own rows."""
     flat = (_context_index(t, context)[:, :, None] * d + np.arange(d)).ravel()
+    flat = (np.arange(n)[:, None] * (t * d) + flat).ravel()
     flat.flags.writeable = False
     return flat
 
@@ -203,14 +213,17 @@ def splice_forward(x, context: int):
 
 
 def splice_backward(dy, cache):
-    """Gradient of a 2-D splice: training splices one utterance at a time."""
+    """Gradient of ``splice_forward``, shaped like its input; ``dy`` may
+    hold the spliced rows of a stack flattened to [N*T, (2c+1)*D]."""
     shape, idx = cache
     if idx is None:
-        return dy
+        return dy.reshape(shape)
     # bincount adds each input value's slots from 0.0 in (t, j, d) order, the
-    # order np.add.at uses, so the sums are bit-identical to a scatter-add
-    flat = _scatter_index(shape[0], idx.shape[1] // 2, shape[1])
-    return np.bincount(flat, weights=dy.ravel(), minlength=shape[0] * shape[1]).reshape(shape)
+    # order np.add.at uses, so the sums are bit-identical to a scatter-add; a
+    # per-window offset keeps every window's sums apart
+    n, t, d = (1, *shape) if len(shape) == 2 else shape
+    flat = _scatter_index(n, t, idx.shape[1] // 2, d)
+    return np.bincount(flat, weights=dy.ravel(), minlength=n * t * d).reshape(shape)
 
 
 def affine_forward(x, w, b):
@@ -398,22 +411,24 @@ class Model:
     # -- trunk ------------------------------------------------------------
 
     def extractor_forward(self, x, mode: str = "train", first_group: int = 1):
-        """Run frames [T x D] through groups ``first_group``..4; T is preserved.
+        """Run frames [T x D], or a stack of windows [N x T x D], through
+        groups ``first_group``..4; the shape is preserved but for D.
 
-        D is the input width of ``first_group``: the input dim for group 1,
-        else the width of the group below.  A stage whose lower groups are
-        frozen feeds their output here (see ``FrozenPrefix``), so the train
-        caches, and the backward, cover only the groups that train.
+        A 2-D input is a stack of one.  D is the input width of
+        ``first_group``: the input dim for group 1, else the width of the
+        group below.  A stage whose lower groups are frozen feeds their
+        output here (see ``FrozenPrefix``), so the train caches, and the
+        backward, cover only the groups that train.
         """
         ex = self.config.extractor
         if not 1 <= first_group <= NUM_GROUPS:
             raise ContractError(f"first group must lie in 1..{NUM_GROUPS}, got {first_group}")
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] < 1:
-            raise StructuralError("extractor input must be a nonempty [T x D] matrix")
+        if x.ndim not in (2, 3) or min(x.shape[:-1]) < 1:
+            raise StructuralError("extractor input must be a nonempty [T x D] matrix or [N x T x D] stack")
         in_dim = ex.input_dim if first_group == 1 else ex.group_dims[first_group - 2]
-        if x.shape[1] != in_dim:
-            raise StructuralError(f"group g{first_group} expects feature dim {in_dim}, got {x.shape[1]}")
+        if x.shape[-1] != in_dim:
+            raise StructuralError(f"group g{first_group} expects feature dim {in_dim}, got {x.shape[-1]}")
         return self._groups_forward(x, first_group, NUM_GROUPS, mode)
 
     def _groups_forward(self, h, first: int, last: int, mode: str):
@@ -437,46 +452,66 @@ class Model:
         return h, caches
 
     def extractor_backward(self, dh, caches, grads):
-        """Accumulate the parameter grads of every group the forward ran."""
+        """Accumulate the parameter grads of every group the forward ran;
+        ``dh`` is the gradient of the forward's output, of its shape.
+
+        A stack's weight and bias grads are each window's own product
+        (a batched ``x.T @ dpre``) summed over the windows in order, so they
+        are bit-equal to running the windows one by one and adding each
+        one's grads in turn (tests/test_blas_rows.py).
+        """
         first = NUM_GROUPS - len(caches)  # index of the lowest group run
         for g in range(NUM_GROUPS - 1, first - 1, -1):
             sp_cache, (x, w), relu_cache = caches[g - first]
-            dpre = relu_backward(dh, relu_cache)
-            _accum(grads, f"g{g + 1}.W", x.T @ dpre)
-            _accum(grads, f"g{g + 1}.b", dpre.sum(axis=0))
+            dpre = relu_backward(dh.reshape(relu_cache.shape), relu_cache)
+            windows = sp_cache[0][:-1]  # (T,) or (N, T)
+            dw = np.swapaxes(x.reshape(windows + (-1,)), -1, -2) @ dpre.reshape(windows + (-1,))
+            db = dpre.reshape(windows + (-1,)).sum(axis=-2)
+            if len(windows) == 2:
+                dw, db = dw.sum(axis=0), db.sum(axis=0)
+            _accum(grads, f"g{g + 1}.W", dw)
+            _accum(grads, f"g{g + 1}.b", db)
             # the input gradient of the lowest group run is never used
             if g > first:
                 dh = splice_backward(dpre @ w.T, sp_cache)
 
     def encode(self, utts, mode: str = "train", first_group: int = 1):
-        """Trunk pass over a list of frame matrices -> embeddings [N x K*D].
+        """Trunk pass over frame matrices -> embeddings [N x K*D].
 
-        The extractor runs per utterance from ``first_group``.  Its outputs
-        are grouped by frame count and each group is pooled by one stacked
-        ``lde_pool`` call; rows come back in input order, and a row's bytes
-        do not depend on which other utterances share the list.
+        ``utts`` is a list of frame matrices or a stack [N x T x D].  They
+        are grouped by frame count.  In train mode the extractor runs from
+        ``first_group`` once per group, as one stack, when that gives each
+        window's rows exactly (``_stacks_exactly``); otherwise, and always
+        in eval mode, once per utterance.  Each group is pooled by one
+        stacked ``lde_pool`` call; rows come back in input order, and a
+        row's bytes do not depend on which other utterances share the list.
         """
-        outs, ex_caches = zip(*(self.extractor_forward(x, mode, first_group) for x in utts))
-        lengths = np.array([h.shape[0] for h in outs])
-        embs = np.empty((len(outs), self.config.lde.output_dim))
+        lengths = np.array([len(x) for x in utts])
+        embs = np.empty((len(utts), self.config.lde.output_dim))
         pools = []
         for t in np.unique(lengths):
             rows = np.flatnonzero(lengths == t)
-            stacked = np.stack([outs[i] for i in rows])
-            embs[rows], lde_cache = lde_pool(stacked, self.params["lde.dict"], self.params["lde.log_scale"])
-            pools.append((rows, lde_cache))
-        return embs, (ex_caches, pools)
+            if mode == "train" and _stacks_exactly(self, int(t), first_group):
+                stack = np.asarray(utts) if len(rows) == len(utts) else np.stack([utts[i] for i in rows])
+                out, ex_cache = self.extractor_forward(stack, mode, first_group)
+                windows = [(slice(None), ex_cache)]
+            else:
+                outs, ex_caches = zip(*(self.extractor_forward(utts[i], mode, first_group) for i in rows))
+                out = np.stack(outs)
+                windows = list(enumerate(ex_caches))
+            embs[rows], lde_cache = lde_pool(out, self.params["lde.dict"], self.params["lde.log_scale"])
+            pools.append((rows, lde_cache, windows))
+        return embs, pools
 
     def encode_backward(self, demb, cache, grads):
         """Backward of ``encode`` for ``demb`` [N x K*D]; the trunk backward
         descends to the first group the forward ran."""
-        ex_caches, pools = cache
-        for rows, lde_cache in pools:
+        for rows, lde_cache, windows in cache:
             dstack, ddict, dlog = lde_pool_backward(demb[rows], lde_cache)
             _accum(grads, "lde.dict", ddict)
             _accum(grads, "lde.log_scale", dlog)
-            for i, dh in zip(rows, dstack):
-                self.extractor_backward(dh, ex_caches[i], grads)
+            for at, ex_cache in windows:
+                self.extractor_backward(dstack[at], ex_cache, grads)
 
     # -- per-domain blocks --------------------------------------------------
 
@@ -489,36 +524,27 @@ class Model:
             )
 
     def subnet_forward(self, emb, domain: int, stage: str = "full", mode: str = "train"):
-        """Domain subnet on embeddings [n x K*D].
+        """Domain subnet on embeddings [n x K*D]: the two front layers, then
+        the back half, whose final layer has no activation.
 
-        ``stage='front'`` stops after the two front layers (the space where
-        cross-domain agreement is measured); ``'full'`` continues through the
-        back half, whose final layer has no activation.  The full-stage cache
-        exposes the front output under ``cache['front']``.
+        The cache exposes the front output, the space where cross-domain
+        agreement is measured, under ``cache['front']``.  ``stage`` takes
+        only ``'full'``; it remains for callers that pass it positionally
+        (perfbench/kernels.py).
         """
         self._check_domain(domain)
-        if stage not in ("front", "full"):
+        if stage != "full":
             raise ContractError(f"unknown subnet stage {stage!r}")
-        emb = np.atleast_2d(np.asarray(emb, dtype=np.float64))
-        layers = [f"sub{domain}.front.0", f"sub{domain}.front.1"]
-        if stage == "full":
-            layers += [f"sub{domain}.back.0", f"sub{domain}.back.1"]
-        h = emb
+        h = np.atleast_2d(np.asarray(emb, dtype=np.float64))
         steps = []
-        front = None
-        for i, layer in enumerate(layers):
-            pre, af_cache = affine_forward(h, self.params[f"{layer}.W"], self.params[f"{layer}.b"])
-            last = i == 3
-            if last:
-                h, relu_cache = pre, None
-            else:
-                h, relu_cache = relu_forward(pre)
+        for i, layer in enumerate(("front.0", "front.1", "back.0", "back.1")):
+            name = f"sub{domain}.{layer}"
+            pre, af_cache = affine_forward(h, self.params[f"{name}.W"], self.params[f"{name}.b"])
+            h, relu_cache = (pre, None) if i == 3 else relu_forward(pre)
             if i == 1:
                 front = h
             if mode == "train":
-                steps.append((layer, af_cache, relu_cache))
-        if stage == "front":
-            return h, {"steps": steps, "front": h}
+                steps.append((name, af_cache, relu_cache))
         return h, {"steps": steps, "front": front}
 
     def subnet_backward(self, dout, dfront, cache, grads):
@@ -581,19 +607,55 @@ def _accum(grads: dict, name: str, value) -> None:
 _MIN_GEMM_ROWS = 8
 
 
+# OpenBLAS (SkylakeX kernels) runs products of at most 10^6 multiply-adds
+# through separate small-matrix kernels
+_SMALL_GEMM_MACS = 10**6
+
+
 @functools.lru_cache(maxsize=64)
-def _gemm_rows_exact(k: int, n: int) -> bool:
+def _gemm_rows_exact(k: int, n: int, transposed: bool = False) -> bool:
     """Whether the BLAS gives each row of an [m x k] @ [k x n] product with
-    m >= 8 the same bits whatever the other rows.  Kernels take rows in
-    blocks of at most 16, so every row count 8..23 at 16 offsets of one
-    product meets every block tail.  Some shapes fail: with OpenBLAS 0.3.31
-    on x86-64, the last m % 4 rows differ when n % 8 is 1, 2 or 3 and
-    k >= 16."""
+    m >= 8 the same bits whatever the other rows.  With ``transposed`` the
+    right operand is the transposed view of an [n x k] matrix, the way the
+    input gradient ``dpre @ W.T`` passes it, which OpenBLAS sends to other
+    kernels.  Kernels take rows in blocks of at most 16, so every row count
+    8..23 at 16 offsets meets every block tail; each slice is checked
+    against a 40-row product and against one of over 10^6 multiply-adds,
+    which leaves the small-matrix kernels.  Some shapes fail: with OpenBLAS
+    0.3.31 on x86-64, the last m % 4 rows differ when n % 8 is 1, 2 or 3
+    and k >= 16, and a small product's rows differ from a large one's when
+    n % 8 is 4 and k >= 16."""
     rng = np.random.default_rng(0)
-    x, w = rng.normal(size=(40, k)), rng.normal(size=(k, n))
-    full = x @ w
-    return all((x[a : a + m] @ w).tobytes() == full[a : a + m].tobytes()
-               for m in range(_MIN_GEMM_ROWS, 24) for a in range(16))
+    # rows past 40 only make the large product large; zeros cost no draws
+    x = np.zeros((max(40, _SMALL_GEMM_MACS // (k * n) + 24), k))
+    x[:40] = rng.normal(size=(40, k))
+    w = rng.normal(size=(n, k)).T if transposed else rng.normal(size=(k, n))
+    fulls = [(x[:40] @ w).tobytes(), (x @ w)[:40].tobytes()]
+    row = 8 * n  # bytes per product row
+    for m in range(_MIN_GEMM_ROWS, 24):
+        for a in range(16):
+            part = (x[a : a + m] @ w).tobytes()
+            if any(part != full[a * row : (a + m) * row] for full in fulls):
+                return False
+    return True
+
+
+def _stacks_exactly(model: Model, t: int, first_group: int) -> bool:
+    """Whether windows of ``t`` frames can go through groups
+    ``first_group``..4 as one stack, forward and backward, with every
+    window's rows and grads bit-equal to running it alone.  That needs
+    t >= 8, the row fact for each forward ``x @ W`` and each input-gradient
+    ``dpre @ W.T`` the backward computes, and groups at least 2 wide: numpy
+    sums a one-wide grad over the windows pairwise, not in order."""
+    if t < _MIN_GEMM_ROWS:
+        return False
+    for g in range(first_group - 1, NUM_GROUPS):
+        k, n = model.params[f"g{g + 1}.W"].shape
+        if n < 2 or not _gemm_rows_exact(k, n):
+            return False
+        if g >= first_group and not _gemm_rows_exact(n, k, transposed=True):
+            return False
+    return True
 
 
 class FrozenPrefix:
@@ -611,7 +673,9 @@ class FrozenPrefix:
     of at least 8 rows, which is checked per group shape before any table
     is built.  Crops that are padded, have at most 2R or fewer than 8
     frames, come from an untabled utterance, or would leave the edge pass
-    under 8 rows go through g1-g3 whole, as before.
+    under 8 rows go through g1-g3 whole, one by one: stacking them would
+    hold every crop's spliced g1 input at once, several MB at the default
+    shapes.
     """
 
     def __init__(self, model: Model, utterances: dict):
@@ -629,24 +693,29 @@ class FrozenPrefix:
         return self.model._groups_forward(frames, 1, FROZEN_GROUPS, "eval")[0]
 
     def crop_rows(self, crops, keys):
-        """g3 rows [L x D] of each crop [L x input_dim], in order.
+        """g3 rows [N x L x D] of crops [L x input_dim] of one length L, in
+        order.
 
         ``keys`` holds each crop's ``(utt_id, offset)``; offset None marks a
         padded crop.
         """
-        r = self.halo
-        tabled = [i for i, (crop, (utt, s)) in enumerate(zip(crops, keys))
-                  if s is not None and utt in self.table and len(crop) >= max(_MIN_GEMM_ROWS, 2 * r + 1)]
+        r, size = self.halo, len(crops[0])
+        tabled = [i for i, (utt, s) in enumerate(keys)
+                  if s is not None and utt in self.table and size >= max(_MIN_GEMM_ROWS, 2 * r + 1)]
         if r and 4 * r * len(tabled) < _MIN_GEMM_ROWS:
             tabled = []
-        rows = [None] * len(crops)
+        out = np.empty((len(crops), size, self.model.config.extractor.group_dims[FROZEN_GROUPS - 1]))
         if tabled and r:
             edges = self._run(np.stack([w for i in tabled for w in (crops[i][: 2 * r], crops[i][-2 * r :])]))
-        for j, i in enumerate(tabled):
-            (utt, s), size = keys[i], len(crops[i])
-            middle = self.table[utt][s + r : s + size - r]
-            rows[i] = np.concatenate([edges[2 * j, :r], middle, edges[2 * j + 1, r:]]) if r else middle
-        return [self._run(crop) if out is None else out for crop, out in zip(crops, rows)]
+            out[tabled, :r] = edges[0::2, :r]
+            out[tabled, size - r :] = edges[1::2, r:]
+        for i in tabled:
+            utt, s = keys[i]
+            out[i, r : size - r] = self.table[utt][s + r : s + size - r]
+        whole = set(range(len(crops))).difference(tabled)
+        for i in sorted(whole):
+            out[i] = self._run(crops[i])
+        return out
 
 
 def set_trainable(model: Model, stage: str):

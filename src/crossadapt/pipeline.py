@@ -10,6 +10,12 @@ All randomness is drawn from substreams derived from the stage seed, so a
 stage rerun from the same checkpoint and seed reproduces its checkpoint
 byte for byte.
 
+A step's crops are one stack [N x L x D] (every crop has ``crop_frames``
+rows, padded ones too), and the trainable trunk runs over the stack once
+per batch, not once per crop (``Model.encode``; bit-equal, see
+``model``).  Each stage selects the train records it samples from once, at
+stage start.
+
 Finetune and adapt never train g1-g3, so their batches hold each crop's g3
 rows (``model.FrozenPrefix``) and the trunk runs from g4.  At stage start
 they table g1-g3 over the train utterances they sample from when that
@@ -18,6 +24,10 @@ its L frames, so the table is built when n_crops * (L - 4R) exceeds the
 stage's train frame total.  The rule reads only the config and the
 manifest, and a table changes no byte, only the time and memory a stage
 takes.
+
+A step allocates and frees numpy temporaries of a few hundred KB; the CLI
+has glibc keep those pages between steps (``cli._keep_freed_pages``), so
+a larger stacked pass does not pay for them in page faults.
 """
 
 from __future__ import annotations
@@ -88,54 +98,55 @@ def _draw(records, store, rng, n, crop_frames):
 
 
 def _inputs(draws, prefix):
-    """Each draw's crops, or with a frozen prefix their g3 rows; one
-    ``crop_rows`` call covers every crop of the step."""
+    """Every crop of the step as one stack [N x L x D] in draw order, or
+    with a frozen prefix their g3 rows."""
+    feats = [f for fs, _, _ in draws for f in fs]
     if prefix is None:
-        return [feats for feats, _, _ in draws]
-    rows = iter(prefix.crop_rows([f for feats, _, _ in draws for f in feats],
-                                 [k for _, keys, _ in draws for k in keys]))
-    return [[next(rows) for _ in feats] for feats, _, _ in draws]
+        return np.stack(feats)
+    return prefix.crop_rows(feats, [k for _, keys, _ in draws for k in keys])
 
 
-def sample_supervised(manifest, store, rng, cfg: StageConfig, clean_only: bool, prefix=None):
-    """Uniform-with-replacement batch for the softmax-head stages; with a
-    ``FrozenPrefix`` the batch holds each crop's g3 rows."""
-    if clean_only:
-        records = manifest.select(domain_id=0, split="train")
-    else:
-        records = manifest.select(split="train")
+def sample_supervised(records, store, rng, cfg: StageConfig, prefix=None):
+    """Uniform-with-replacement batch from ``records`` for the softmax-head
+    stages; with a ``FrozenPrefix`` the batch holds each crop's g3 rows."""
     if not records:
         raise ContractError("train split is empty")
     draw = _draw(records, store, rng, cfg.batch_size, cfg.crop_frames)
-    return _inputs([draw], prefix)[0], draw[2]
+    return _inputs([draw], prefix), draw[2]
 
 
-def sample_batches(manifest, store, rng, cfg: StageConfig, prefix=None) -> DomainBatch:
-    """One adaptation batch: clean samples plus one batch per target domain;
-    with a ``FrozenPrefix`` it holds each crop's g3 rows."""
-    src_records = manifest.select(domain_id=0, split="train")
-    if not src_records:
-        raise ContractError("clean train split is empty")
-    draws = [_draw(src_records, store, rng, cfg.batch_size, cfg.crop_frames)]
-    for d in range(1, manifest.num_domains):
-        records = manifest.select(domain_id=d, split="train")
+def sample_batches(domain_records, store, rng, cfg: StageConfig, prefix=None) -> DomainBatch:
+    """One adaptation batch: clean samples plus one batch per target domain,
+    drawn from each domain's train records (clean first); with a
+    ``FrozenPrefix`` it holds each crop's g3 rows."""
+    for d, records in enumerate(domain_records):
         if not records:
             raise ContractError(f"domain {d} train split is empty")
-        draws.append(_draw(records, store, rng, cfg.tgt_batch_size, cfg.crop_frames))
-    src, *tgt = _inputs(draws, prefix)
+    draws = [_draw(records, store, rng, n, cfg.crop_frames)
+             for records, n in zip(domain_records, _draw_sizes(cfg, len(domain_records)))]
+    crops = _inputs(draws, prefix)
+    src, *tgt = np.split(crops, np.cumsum([len(labels) for _, _, labels in draws])[:-1])
     src_labels, *tgt_labels = [labels for _, _, labels in draws]
-    return DomainBatch(src, src_labels, tgt, tgt_labels)
+    return DomainBatch(src, src_labels, tgt, tgt_labels, crops)
 
 
-def _sampled_records(manifest, cfg: StageConfig):
-    """The train records a finetune or adapt step samples from, and the
-    number of crops it takes."""
-    if cfg.stage == "finetune":
-        return manifest.select(domain_id=0, split="train"), cfg.batch_size
-    return manifest.select(split="train"), cfg.batch_size + (manifest.num_domains - 1) * cfg.tgt_batch_size
+def _draw_sizes(cfg: StageConfig, draws: int):
+    """Crops per draw of a step: the batch size, then the target batch size
+    for each target domain."""
+    return [cfg.batch_size] + [cfg.tgt_batch_size] * (draws - 1)
 
 
-def _table_pays(cfg: StageConfig, manifest, extractor) -> bool:
+def _sampled_records(manifest, stage: str):
+    """The train records each draw of a ``stage`` step samples from, one
+    list per draw, selected once per stage: pretrain pools every domain,
+    finetune takes the clean domain and adapt each domain apart, clean
+    first."""
+    if stage == "adapt":
+        return [manifest.select(domain_id=d, split="train") for d in range(manifest.num_domains)]
+    return [manifest.select(domain_id=0 if stage == "finetune" else None, split="train")]
+
+
+def _table_pays(cfg: StageConfig, domain_records, extractor) -> bool:
     """Whether the stage tables g1-g3 over its train utterances.
 
     A crop read from the table runs g1-g3 over its two 2R-frame edge windows
@@ -145,16 +156,17 @@ def _table_pays(cfg: StageConfig, manifest, extractor) -> bool:
     wide corpus trained for few steps it does not, and the table would only
     add memory.
     """
-    records, per_step = _sampled_records(manifest, cfg)
+    per_step = sum(_draw_sizes(cfg, len(domain_records)))
     halo = sum(extractor.context[:FROZEN_GROUPS])
-    return cfg.steps * per_step * (cfg.crop_frames - 4 * halo) > sum(r.frames for r in records)
+    frames = sum(r.frames for records in domain_records for r in records)
+    return cfg.steps * per_step * (cfg.crop_frames - 4 * halo) > frames
 
 
-def _frozen_prefix(model, manifest, store, cfg: StageConfig) -> FrozenPrefix:
+def _frozen_prefix(model, domain_records, store, cfg: StageConfig) -> FrozenPrefix:
     """The g1-g3 rows of a finetune or adapt stage, tabled when that pays."""
-    records, _ = _sampled_records(manifest, cfg)
-    pays = _table_pays(cfg, manifest, model.config.extractor)
-    return FrozenPrefix(model, {r.utt_id: store[r.utt_id] for r in records} if pays else {})
+    pays = _table_pays(cfg, domain_records, model.config.extractor)
+    return FrozenPrefix(model, {r.utt_id: store[r.utt_id] for records in domain_records for r in records}
+                        if pays else {})
 
 
 # -- the training loop ------------------------------------------------------------
@@ -191,13 +203,13 @@ def _train(model, stage, cfg: StageConfig, step, lr_at, out_path):
     return model
 
 
-def _supervised_step(model, manifest, store, cfg: StageConfig, clean_only: bool, prefix=None):
+def _supervised_step(model, records, store, cfg: StageConfig, prefix=None):
     """Softmax-head step of pretrain and finetune. With a ``FrozenPrefix``
     the trunk runs, and its backward descends, from g4 only."""
     first = 1 if prefix is None else FROZEN_GROUPS + 1
 
     def step(k, rng, grads):
-        feats, labels = sample_supervised(manifest, store, rng, cfg, clean_only, prefix)
+        feats, labels = sample_supervised(records, store, rng, cfg, prefix)
         embs, cache = model.encode(feats, first_group=first)
         logits, head_cache = model.head_forward(embs)
         loss, dlogits = cross_entropy_grad(logits, labels)
@@ -212,7 +224,8 @@ def pretrain(corpus_root, app: AppConfig, out_path):
     """Train backbone + pooling + softmax head on all domains pooled."""
     corpus_root = Path(corpus_root)
     manifest = CorpusManifest.load(corpus_root / "manifest.tsv")
-    speakers = {r.speaker_id for r in manifest.select(split="train")}
+    (records,) = _sampled_records(manifest, "pretrain")
+    speakers = {r.speaker_id for r in records}
     if len(speakers) < 2:
         raise ContractError("pretraining needs at least 2 speakers in the train split")
     if manifest.num_domains < 3:
@@ -224,16 +237,15 @@ def pretrain(corpus_root, app: AppConfig, out_path):
         with_subnets=False,
     )
     store = load_feature_store(manifest, corpus_root)
-    _seed_dictionary(model, manifest, store, cfg.seed)
-    step = _supervised_step(model, manifest, store, cfg, clean_only=False)
+    _seed_dictionary(model, records, store, cfg.seed)
+    step = _supervised_step(model, records, store, cfg)
     return _train(model, "pretrain", cfg, step, lambda k: noam_lr(k + 1, cfg.schedule), out_path)
 
 
-def _seed_dictionary(model, manifest, store, seed: int) -> None:
+def _seed_dictionary(model, records, store, seed: int) -> None:
     """Replace the random dictionary with K extractor activations of random
     training frames, so every component starts inside the populated region of
     activation space instead of centered on the origin."""
-    records = manifest.select(split="train")
     rng = substream(seed, "pretrain", "dict")
     rows = []
     for idx in rng.integers(0, len(records), size=model.config.lde.num_components):
@@ -254,8 +266,9 @@ def finetune(init_ckpt, corpus_root, app: AppConfig, out_path):
     cfg = app.finetune
     lr = 0.1 * noam_peak(app.pretrain.schedule)
     store = load_feature_store(manifest, corpus_root)
-    prefix = _frozen_prefix(model, manifest, store, cfg)
-    step = _supervised_step(model, manifest, store, cfg, clean_only=True, prefix=prefix)
+    records = _sampled_records(manifest, "finetune")
+    prefix = _frozen_prefix(model, records, store, cfg)
+    step = _supervised_step(model, records[0], store, cfg, prefix)
     return _train(model, "finetune", cfg, step, lambda k: lr, out_path)
 
 
@@ -278,14 +291,15 @@ def adapt(init_ckpt, corpus_root, app: AppConfig, out_path):
     cfg = app.adapt
     model.ensure_subnets(cfg.seed)
     store = load_feature_store(manifest, corpus_root)
-    prefix = _frozen_prefix(model, manifest, store, cfg)
+    records = _sampled_records(manifest, "adapt")
+    prefix = _frozen_prefix(model, records, store, cfg)
 
     def progress(k):
         # runs exactly 0 -> 1 across the configured steps
         return k / (cfg.steps - 1) if cfg.steps > 1 else 1.0
 
     def step(k, rng, grads):
-        batch = sample_batches(manifest, store, rng, cfg, prefix)
+        batch = sample_batches(records, store, rng, cfg, prefix)
         out = total_loss(
             batch, model, progress(k),
             kernel=cfg.kernel, bandwidth=cfg.bandwidth,

@@ -273,7 +273,7 @@ class TestCriterion3DiscrepancyOracle:
         model = Model.create(cfg, seed=3)
         model.ensure_subnets(seed=3)
         emb = rng.normal(size=(6, 8))
-        fronts = [model.subnet_forward(emb, h, "front")[1]["front"]
+        fronts = [model.subnet_forward(emb, h)[1]["front"]
                   for h in range(3)]
         tied = discrepancy_loss(fronts)
 

@@ -3,21 +3,25 @@
 Evaluation embeds a whole domain in one trunk pass and scores it with one
 gemm, and the reports stay byte-identical to embedding and scoring each
 utterance alone. Finetune and adapt read a crop's g1-g3 rows from a
-per-utterance table and a stacked pass over edge windows, and the
-checkpoints stay byte-identical to running each crop whole. That holds
-only while a product row's bits do not depend on the other rows in the
-product. These tests pin that at the shapes the code uses, so a BLAS that
-breaks it fails here, with the property named, rather than as a changed
-sha256 somewhere downstream.
+per-utterance table and a stacked pass over edge windows, and every
+training stage runs the trainable trunk over all crops of a batch as one
+stack; the checkpoints stay byte-identical to running each crop whole.
+That holds only while a product row's bits do not depend on the other rows
+in the product, and while the stack's grads sum in crop order. These tests
+pin that at the shapes the code uses, so a BLAS that breaks it fails here,
+with the property named, rather than as a changed sha256 somewhere
+downstream.
 
 Slices of fewer than 8 rows are left out on purpose: single-row slices
 differ from the full product's rows at most shapes, and the code never
-relies on them. So does a right operand passed as a transposed view, as
-``score_trials`` passes ``tests.T``: OpenBLAS 0.3.31 then takes a
-small-matrix kernel for any product of about 1,200 entries or fewer, so
-slices of up to 9 rows of a [64 x 128] score matrix differ from its rows.
-``score_trials`` relies on no slice of its product (it merges identical
-rows instead), so its shapes are pinned here with a contiguous operand.
+relies on them. A right operand passed as a transposed view needs care:
+OpenBLAS 0.3.31 then takes a small-matrix kernel for any product of about
+1,200 entries or fewer, so slices of up to 9 rows of a [64 x 128] score
+matrix differ from its rows. ``score_trials`` relies on no slice of its
+product (it merges identical rows instead), so its shapes are pinned here
+with a contiguous operand; the trunk's input gradient ``dpre @ W.T`` is
+pinned with the transposed view it passes, and ``model._gemm_rows_exact``
+probes it per shape.
 """
 
 import numpy as np
@@ -135,4 +139,94 @@ class TestFrozenPrefixProducts:
         assert _gemm_rows_exact(k, n), (
             f"the frozen prefix's row-exactness probe refuses the [{k}x{n}] trunk gemm, "
             "so finetune and adapt would build no table"
+        )
+
+
+class TestStackedTrunkProducts:
+    """The trainable trunk of ``Model.encode``: every crop of a batch goes
+    through a group as one stack [N, L, D], and the grads of the stack must
+    equal adding up each crop's own grads, crop by crop."""
+
+    @pytest.mark.parametrize("crops", (2, 32, 104))
+    @pytest.mark.parametrize("k,n", TRUNK_GEMMS)
+    def test_stacked_rows_equal_each_crop_product(self, crops, k, n):
+        rng = np.random.default_rng(k * 1000 + crops)
+        x, w = rng.normal(size=(crops * CROP, k)), rng.normal(size=(k, n))
+        stacked = x @ w
+        for i in range(crops):
+            rows = slice(i * CROP, (i + 1) * CROP)
+            assert (x[rows] @ w).tobytes() == stacked[rows].tobytes(), (
+                f"BLAS row fact 'the [N*L, k] @ W stack product equals each crop's own "
+                f"product' fails: N={crops}, crop {i}, [{k}x{n}] weights"
+            )
+
+    @pytest.mark.parametrize("crops", (2, 32, 104))
+    @pytest.mark.parametrize("k,n", TRUNK_GEMMS)
+    def test_stacked_input_gradient_rows_equal_each_crop_product(self, crops, k, n):
+        """``dpre @ W.T`` passes a transposed view, which OpenBLAS sends to
+        other kernels than a contiguous operand."""
+        rng = np.random.default_rng(k * 1000 + crops + 1)
+        dpre, w = rng.normal(size=(crops * CROP, n)), rng.normal(size=(k, n))
+        stacked = dpre @ w.T
+        for i in range(crops):
+            rows = slice(i * CROP, (i + 1) * CROP)
+            assert (dpre[rows] @ w.T).tobytes() == stacked[rows].tobytes(), (
+                f"BLAS row fact 'the [N*L, n] @ W.T stack product equals each crop's own "
+                f"product' fails: N={crops}, crop {i}, [{k}x{n}] weights"
+            )
+
+    @pytest.mark.parametrize("crops", (1, 2, 32, 104))
+    @pytest.mark.parametrize("k,n", TRUNK_GEMMS)
+    def test_batched_weight_gradient_equals_each_crop_product(self, crops, k, n):
+        rng = np.random.default_rng(k * 1000 + crops + 2)
+        x, dpre = rng.normal(size=(crops, CROP, k)), rng.normal(size=(crops, CROP, n))
+        batched = np.swapaxes(x, 1, 2) @ dpre
+        for i in range(crops):
+            assert batched[i].tobytes() == (x[i].T @ dpre[i]).tobytes(), (
+                f"BLAS fact 'a batched x.T @ dpre equals each crop's own 2-D product' "
+                f"fails: N={crops}, crop {i}, [{k}x{n}] weights"
+            )
+
+    @pytest.mark.parametrize("crops", (2, 3, 32, 104))
+    @pytest.mark.parametrize("k,n", TRUNK_GEMMS)
+    def test_window_sums_equal_adding_crop_by_crop(self, crops, k, n):
+        """Weight grads [N, k, n] and bias grads [N, L, n] summed over the
+        windows, against the per-crop grads added in turn from the first."""
+        rng = np.random.default_rng(k * 1000 + crops + 3)
+        # mixed magnitudes make the summation order visible in the last bits
+        dw = rng.normal(size=(crops, k, n)) * 10.0 ** rng.integers(-8, 9, size=(crops, k, n))
+        dpre = rng.normal(size=(crops, CROP, n)) * 10.0 ** rng.integers(-8, 9, size=(crops, CROP, n))
+        dpre[rng.random(size=dpre.shape) < 0.5] = 0.0  # ReLU zeros
+        for stacked, terms, what in ((dw.sum(axis=0), list(dw), "weight"),
+                                     (dpre.sum(axis=1).sum(axis=0), [d.sum(axis=0) for d in dpre], "bias")):
+            total = terms[0].copy()
+            for term in terms[1:]:
+                total += term
+            assert stacked.tobytes() == total.tobytes(), (
+                f"numpy fact 'a {what} grad summed over the window axis equals adding the "
+                f"crops' grads in turn' fails: N={crops}, [{k}x{n}] weights"
+            )
+
+    @pytest.mark.parametrize("crops", (1, 2, 32))
+    @pytest.mark.parametrize("context,d", ((2, 20), (1, 24)))
+    def test_offset_bincount_equals_each_window_bincount(self, crops, context, d):
+        """The splice backward of a stack: one bincount whose index puts each
+        window at its own offset, against one bincount per window."""
+        rng = np.random.default_rng(crops * 100 + context)
+        idx = np.clip(np.arange(CROP)[:, None] + np.arange(-context, context + 1), 0, CROP - 1)
+        one = (idx[:, :, None] * d + np.arange(d)).ravel()
+        dy = rng.normal(size=(crops, one.size)) * 10.0 ** rng.integers(-8, 9, size=(crops, one.size))
+        flat = (np.arange(crops)[:, None] * (CROP * d) + one).ravel()
+        stacked = np.bincount(flat, weights=dy.ravel(), minlength=crops * CROP * d).reshape(crops, -1)
+        for i in range(crops):
+            assert stacked[i].tobytes() == np.bincount(one, weights=dy[i], minlength=CROP * d).tobytes(), (
+                f"numpy fact 'an offset bincount over a stack equals each window's own "
+                f"bincount' fails: N={crops}, window {i}, context {context}, width {d}"
+            )
+
+    @pytest.mark.parametrize("k,n", TRUNK_GEMMS)
+    def test_shape_probe_admits_the_trunk_shapes_both_ways(self, k, n):
+        assert _gemm_rows_exact(k, n) and _gemm_rows_exact(n, k, transposed=True), (
+            f"the row-exactness probe refuses the [{k}x{n}] trunk gemm or its input "
+            "gradient, so training would run the trunk crop by crop"
         )

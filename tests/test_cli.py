@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import crossadapt
-from crossadapt import pipeline
+from crossadapt import cli, pipeline
 from crossadapt.cli import main
 from crossadapt.evaluation import read_report
 from conftest import set_arch_entry
@@ -299,3 +299,35 @@ class TestBlasThreads:
                            timeout=120)
             outputs.append({k: paths[k].read_bytes() for k in ("pre", "ft", "ad", "base_rep", "ad_rep")})
         assert outputs[0] == outputs[1]
+
+
+class TestFreedPages:
+    def test_checkpoints_do_not_depend_on_the_allocator_call(self, env, tmp_path):
+        """finetune and adapt in a fresh process whose ``_keep_freed_pages``
+        is a no-op write the bytes of the module's chain, which ran in this
+        process with glibc's thresholds raised."""
+        ft, ad = tmp_path / "ft.ckpt", tmp_path / "ad.ckpt"
+        conf = ["--config", str(env["config"])]
+        steps = [["finetune", *conf, "--init", str(env["pre"]), "--corpus", str(env["corpus"]), "--out", str(ft)],
+                 ["adapt", *conf, "--init", str(ft), "--corpus", str(env["corpus"]), "--out", str(ad)]]
+        run = ("import json, sys; from crossadapt import cli; cli._keep_freed_pages = lambda: None; "
+               "sys.exit(0 if all(cli.main(['-q', *a]) == 0 for a in json.loads(sys.argv[1])) else 1)")
+        subprocess.run([sys.executable, "-c", run, json.dumps(steps)], env=dict(os.environ, PYTHONPATH=SRC),
+                       check=True, timeout=120)
+        assert ft.read_bytes() == env["ft"].read_bytes()
+        assert ad.read_bytes() == env["ad"].read_bytes()
+
+    def test_main_makes_the_call_even_when_the_command_fails(self, env, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_keep_freed_pages", lambda: calls.append(1))
+        assert main(["-q", "evaluate", "--ckpt", str(env["ft"]), "--corpus", "missing",
+                     "--out", str(env["root"] / "unused.report")]) == 2
+        assert calls == [1]
+
+    def test_call_is_quiet_without_mallopt(self, monkeypatch):
+        class NoMallopt:
+            def __init__(self, name):
+                pass
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", NoMallopt)
+        assert cli._keep_freed_pages() is None

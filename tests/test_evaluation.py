@@ -122,7 +122,7 @@ class TestEmbed:
     def test_adapt_target_uses_matching_subnet(self, generic_model, rng):
         x = rng.normal(size=(5, 4))
         (emb,), _ = generic_model.encode([x])
-        out, _ = generic_model.subnet_forward(emb, 1, "full")
+        out, _ = generic_model.subnet_forward(emb, 1)
         got = embed_one(x, generic_model, "adapt", 2)
         assert np.allclose(got, out[0] / np.linalg.norm(out[0]), atol=1e-12)
 
@@ -130,7 +130,7 @@ class TestEmbed:
         x = rng.normal(size=(5, 4))
         (emb,), _ = generic_model.encode([x])
         mean = np.mean(
-            [generic_model.subnet_forward(emb, h, "full")[0][0] for h in range(2)], axis=0
+            [generic_model.subnet_forward(emb, h)[0][0] for h in range(2)], axis=0
         )
         got = embed_one(x, generic_model, "adapt", 0)
         assert np.allclose(got, mean / np.linalg.norm(mean), atol=1e-9)

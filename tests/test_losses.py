@@ -30,7 +30,7 @@ def brute_cls(batch, model):
         logits = []
         for x in batch.tgt_utts[h]:
             emb, _ = model.encode([x])
-            back, _ = model.subnet_forward(emb, h, "full")
+            back, _ = model.subnet_forward(emb, h)
             logits.append(model.classifier_forward(back, h)[0][0])
         total += cross_entropy_grad(np.array(logits), batch.tgt_labels[h])[0]
     return total
@@ -58,6 +58,12 @@ class TestDomainBatch:
         src = [rng.normal(size=(3, 4))] * 2
         with pytest.raises(StructuralError):
             DomainBatch(src, [0], [[rng.normal(size=(3, 4))] * 2], [[0, 1]])
+
+    def test_crop_stack_of_another_size_rejected(self, rng):
+        batch = make_batch(rng)
+        with pytest.raises(StructuralError):
+            DomainBatch(batch.src_utts, batch.src_labels, batch.tgt_utts, batch.tgt_labels,
+                        np.stack(batch.src_utts))
 
     def test_out_of_range_label_rejected(self, rng):
         batch = make_batch(rng, num_speakers=3)
@@ -257,8 +263,8 @@ class TestComposite:
         src = np.vstack([micro_model.encode([x])[0] for x in batch.src_utts])
         for h in range(2):
             tgt = np.vstack([micro_model.encode([x])[0] for x in batch.tgt_utts[h]])
-            sb, _ = micro_model.subnet_forward(src, h, "full")
-            tb, _ = micro_model.subnet_forward(tgt, h, "full")
+            sb, _ = micro_model.subnet_forward(src, h)
+            tb, _ = micro_model.subnet_forward(tgt, h)
             brute += mmd_pair(sb, tb, "linear")
         assert total == pytest.approx(brute, abs=1e-12)
 
@@ -281,6 +287,19 @@ class TestComposite:
         assert out.dis == 0.0
         assert abs(out.mmd) < 1e-9
         assert out.total == pytest.approx(out.cls, abs=1e-9)
+
+    def test_crop_stack_gives_the_bytes_of_the_sample_lists(self, micro_model, rng):
+        """A batch that carries its samples as one stack, as the adapt stage
+        builds it, has the loss and grads of the same batch as lists."""
+        batch = make_batch(rng, frames=9)
+        crops = np.stack([*batch.src_utts, *(x for utts in batch.tgt_utts for x in utts)])
+        stacked = DomainBatch(batch.src_utts, batch.src_labels, batch.tgt_utts, batch.tgt_labels, crops)
+        grads, stacked_grads = {}, {}
+        out = total_loss(batch, micro_model, p=0.6, grads=grads)
+        assert total_loss(stacked, micro_model, p=0.6, grads=stacked_grads) == out
+        assert set(grads) == set(stacked_grads)
+        for name in grads:
+            assert grads[name].tobytes() == stacked_grads[name].tobytes(), name
 
     def test_breakdown_recomposes(self, micro_model, rng):
         batch = make_batch(rng)

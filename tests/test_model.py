@@ -342,6 +342,77 @@ class TestBatchComposition:
             assert np.allclose(grads[name], summed[name], rtol=1e-12, atol=1e-12), name
 
 
+def per_crop_encode(model, utts, first_group, demb):
+    """``encode`` and ``encode_backward`` with the extractor run per crop,
+    each crop a stack of one, and one stacked ``lde_pool``: the trunk as it
+    ran before the batch was stacked.  Returns embeddings and grads."""
+    outs, caches = zip(*(model.extractor_forward(x, "train", first_group) for x in utts))
+    embs, lde_cache = lde_pool(np.stack(outs), model.params["lde.dict"], model.params["lde.log_scale"])
+    dstack, ddict, dlog = lde_pool_backward(demb, lde_cache)
+    grads = {"lde.dict": ddict, "lde.log_scale": dlog}
+    for dh, cache in zip(dstack, caches):
+        model.extractor_backward(dh, cache, grads)
+    return embs, grads
+
+
+class TestStackedTrunk:
+    @given(
+        st.sampled_from([1, 2, 7, 104]),
+        st.sampled_from([8, 9, 60]),
+        st.sampled_from([1, 4]),
+        # widths 17 and 33 fail the row probe and run per crop; 12 and 20
+        # differ between small and large products, 32 in the input gradient;
+        # a one-wide g4 would sum its grads pairwise
+        st.sampled_from([(24, 24, 24, 24), (8, 16, 6, 24), (5, 7, 3, 4), (17, 24, 33, 24),
+                         (24, 24, 24, 17), (12, 20, 12, 12), (24, 32, 24, 24), (6, 5, 7, 1)]),
+        st.sampled_from([(2, 1, 1, 0), (0, 1, 0, 2), (1, 0, 2, 1)]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_stack_equals_the_per_crop_trunk_bit_for_bit(self, n, t, first_group, widths, context, seed):
+        rng = np.random.default_rng(seed)
+        config = ModelConfig(
+            extractor=ExtractorConfig(20, widths, context),
+            lde=LdeConfig(num_components=3, component_dim=widths[3]),
+            subnet=SubnetConfig(front_dims=(5, 4), back_dims=(4, 3), num_domains=2),
+            num_speakers=3,
+        )
+        model = jitter_params(Model.create(config, seed=seed % 1000), seed=seed, scale=0.3)
+        in_dim = 20 if first_group == 1 else widths[first_group - 2]
+        x = rng.normal(size=(n, t, in_dim))
+        demb = rng.normal(size=(n, config.lde.output_dim))
+        embs, cache = model.encode(x, first_group=first_group)
+        grads = {}
+        model.encode_backward(demb, cache, grads)
+        want_embs, want = per_crop_encode(model, list(x), first_group, demb)
+        assert embs.tobytes() == want_embs.tobytes()
+        assert set(grads) == set(want) == {"lde.dict", "lde.log_scale",
+                                           *(f"g{g}.{p}" for g in range(first_group, 5) for p in "Wb")}
+        for name in grads:
+            assert grads[name].tobytes() == want[name].tobytes(), name
+
+    @pytest.mark.parametrize("widths,t,first_group,stacks", [
+        ((24, 24, 24, 24), 60, 1, True),
+        ((24, 24, 24, 24), 7, 4, False),  # fewer than 8 rows
+        ((24, 24, 24, 17), 60, 4, False),  # x @ W fails the row probe: n % 8 == 1
+        ((24, 32, 24, 24), 60, 1, False),  # dpre @ W.T of the 32-wide g2 fails it
+        ((24, 32, 24, 24), 60, 4, True),  # from g4 no input gradient is computed
+        ((24, 24, 24, 1), 60, 4, False),  # a one-wide grad would sum pairwise
+    ])
+    def test_gate_stacks_only_exact_shapes(self, widths, t, first_group, stacks):
+        config = ModelConfig(
+            extractor=ExtractorConfig(20, widths, (2, 1, 1, 0)),
+            lde=LdeConfig(num_components=3, component_dim=widths[3]),
+            subnet=SubnetConfig(front_dims=(5, 4), back_dims=(4, 3), num_domains=2),
+            num_speakers=3,
+        )
+        model = Model.create(config, seed=0)
+        in_dim = 20 if first_group == 1 else widths[first_group - 2]
+        _, cache = model.encode(np.ones((3, t, in_dim)), first_group=first_group)
+        (_, _, windows), = cache
+        assert (len(windows) == 1) is stacks
+
+
 def reference_g3(model, crop):
     """g1-g3 over one crop as the stages ran them before the frozen prefix:
     per crop, with the splice as first written."""
@@ -439,11 +510,18 @@ class TestSubnetAndClassifier:
         out, _ = micro_model.subnet_forward(np.zeros((2, 8)), 0)
         assert np.all(out == 0.0)
 
-    def test_front_stage_matches_full_cache(self, micro_model, rng):
+    def test_full_pass_caches_the_front_output(self, micro_model, rng):
+        """``cache["front"]`` is the output of the two front layers."""
         emb = rng.normal(size=(3, 8))
-        front, _ = micro_model.subnet_forward(emb, 1, stage="front")
-        _, cache = micro_model.subnet_forward(emb, 1, stage="full")
+        p = micro_model.params
+        front = np.maximum(emb @ p["sub1.front.0.W"] + p["sub1.front.0.b"], 0.0)
+        front = np.maximum(front @ p["sub1.front.1.W"] + p["sub1.front.1.b"], 0.0)
+        _, cache = micro_model.subnet_forward(emb, 1)
         assert np.array_equal(front, cache["front"])
+
+    def test_only_the_full_stage_exists(self, micro_model):
+        with pytest.raises(ContractError):
+            micro_model.subnet_forward(np.zeros((1, 8)), 0, "front")
 
     def test_unknown_domain_rejected(self, micro_model):
         with pytest.raises(UnknownDomainError):

@@ -101,9 +101,8 @@ class TestSampling:
         cfg = chain["cfg"]
         manifest = CorpusManifest.load(chain["corpus"] / "manifest.tsv")
         store = load_feature_store(manifest, chain["corpus"])
-        feats, labels = sample_supervised(
-            manifest, store, substream(5, "x"), cfg.finetune, clean_only=True
-        )
+        (records,) = pipeline._sampled_records(manifest, "finetune")
+        feats, labels = sample_supervised(records, store, substream(5, "x"), cfg.finetune)
         clean_ids = {r.utt_id for r in manifest.select(0, "train")}
         stored = {r.utt_id: store[r.utt_id] for r in manifest.records if r.utt_id in clean_ids}
         for f in feats:
@@ -118,7 +117,8 @@ class TestSampling:
         cfg = chain["cfg"]
         manifest = CorpusManifest.load(chain["corpus"] / "manifest.tsv")
         store = load_feature_store(manifest, chain["corpus"])
-        batch = sample_batches(manifest, store, substream(5, "y"), cfg.adapt)
+        records = pipeline._sampled_records(manifest, "adapt")
+        batch = sample_batches(records, store, substream(5, "y"), cfg.adapt)
         assert len(batch.src_utts) == cfg.adapt.batch_size
         assert batch.num_domains == 2
         for utts in batch.tgt_utts:
@@ -129,11 +129,12 @@ class TestSampling:
         cfg = chain["cfg"]
         manifest = CorpusManifest.load(chain["corpus"] / "manifest.tsv")
         store = load_feature_store(manifest, chain["corpus"])
+        (records,) = pipeline._sampled_records(manifest, "pretrain")
         rng = substream(123, "uniform")
         counts = np.zeros(4)
         draws = 0
         for _ in range(700):
-            _, labels = sample_supervised(manifest, store, rng, cfg.pretrain, clean_only=False)
+            _, labels = sample_supervised(records, store, rng, cfg.pretrain)
             for y in labels:
                 counts[y] += 1
             draws += len(labels)
@@ -145,10 +146,11 @@ class TestSampling:
         manifest = CorpusManifest.load(chain["corpus"] / "manifest.tsv")
         manifest.records = [r for r in manifest.records if r.split != "train"]
         cfg = chain["cfg"]
+        (records,) = pipeline._sampled_records(manifest, "pretrain")
         with pytest.raises(ContractError):
-            sample_supervised(manifest, {}, substream(1, "z"), cfg.pretrain, clean_only=False)
+            sample_supervised(records, {}, substream(1, "z"), cfg.pretrain)
         with pytest.raises(ContractError):
-            sample_batches(manifest, {}, substream(1, "z"), cfg.adapt)
+            sample_batches(pipeline._sampled_records(manifest, "adapt"), {}, substream(1, "z"), cfg.adapt)
 
 
 class TestPretrain:
@@ -292,7 +294,8 @@ def test_table_rule_at_bench_size(workload, tabled):
     manifest = manifest_of(app.corpus)
     extractor = app.model_config(manifest.num_speakers, manifest.num_domains - 1).extractor
     for cfg in (app.finetune, app.adapt):
-        assert pipeline._table_pays(cfg, manifest, extractor) is tabled, cfg.stage
+        records = pipeline._sampled_records(manifest, cfg.stage)
+        assert pipeline._table_pays(cfg, records, extractor) is tabled, cfg.stage
 
 
 # a valid value for every key of the schema, other than the guard's base value
