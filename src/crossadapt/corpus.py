@@ -15,6 +15,7 @@ of the generation config.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,12 +28,14 @@ from .errors import (
     ContractError,
     FileFormatError,
     StructuralError,
+    TruncatedFileError,
 )
-from .fileio import open_artifact, read_exact, write_artifact
+from .fileio import read_sized, write_artifact
 from .rng import substream
 
 FEATURE_MAGIC = b"XDAF"
 FEATURE_VERSION = 1
+FEATURE_HEADER = 16  # magic, then version, T and D as <u4
 SPLITS = ("train", "enroll", "test")
 DOMAIN_KINDS = ("clean", "channel", "farfield", "noisy")
 
@@ -155,7 +158,7 @@ class CorpusManifest:
             raise FileFormatError(f"manifest header missing field {exc}") from exc
         except ValueError as exc:
             raise FileFormatError(f"malformed manifest header: {lines[0]!r}") from exc
-        records = []
+        records, seen = [], set()
         for ln in lines[1:]:
             if not ln.strip():
                 continue
@@ -166,20 +169,31 @@ class CorpusManifest:
                 )
             except ValueError as exc:  # wrong field count or a non-integer field
                 raise FileFormatError(f"malformed manifest record: {ln!r}") from exc
+            if utt_id in seen:
+                raise FileFormatError(f"manifest lists utterance {utt_id!r} twice")
+            seen.add(utt_id)
+            # a feature file lies under the corpus root
+            if relpath.startswith("/") or ".." in relpath.split("/"):
+                raise FileFormatError(f"manifest path {relpath!r} leaves the corpus")
         speakers = {r.speaker_id for r in records}
         return cls(seed, len(speakers), fingerprint, records)
 
     def verify_files(self, root) -> None:
-        """Check every referenced feature file exists with the declared length."""
-        root = Path(root)
+        """Check every referenced feature file exists, and that its header
+        declares the record's frames and agrees with the file's size; each
+        file is opened once and its payload left unread."""
+        root = os.fspath(root)
         for r in self.records:
-            fp = root / r.relpath
-            if not fp.exists():
-                raise StructuralError(f"manifest references missing file {fp}")
-            frames, _ = read_feature_header(fp)
+            path = os.path.join(root, r.relpath)
+            try:
+                frames, _ = read_feature_header(path)
+            except FileFormatError as exc:
+                if isinstance(exc.__cause__, FileNotFoundError):
+                    raise StructuralError(f"manifest references missing file {path}") from exc
+                raise
             if frames != r.frames:
                 raise StructuralError(
-                    f"{fp} holds {frames} frames, manifest declares {r.frames}"
+                    f"{path} holds {frames} frames, manifest declares {r.frames}"
                 )
 
 
@@ -201,30 +215,33 @@ def write_features(path, features) -> None:
         fh.write(payload)
 
 
-def _read_header(fh, path):
-    magic = fh.read(4)
-    if magic != FEATURE_MAGIC:
-        raise BadMagicError(f"{path} is not a feature file (magic {magic!r})")
-    version, t, d = struct.unpack("<III", read_exact(fh, 12, "header"))
-    if version != FEATURE_VERSION:
-        raise BadVersionError(f"unsupported feature file version {version}")
-    return t, d
+def _read(path, body: bool):
+    """A feature file's (T, D) and, with ``body``, its f32 payload bytes."""
+
+    def payload_len(header):
+        if header[:4] != FEATURE_MAGIC:
+            raise BadMagicError(f"{path} is not a feature file (magic {header[:4]!r})")
+        if len(header) < FEATURE_HEADER:
+            raise TruncatedFileError(f"{path} ended inside the feature header")
+        version, t, d = struct.unpack_from("<III", header, 4)
+        if version != FEATURE_VERSION:
+            raise BadVersionError(f"unsupported feature file version {version}")
+        return 4 * t * d
+
+    header, payload = read_sized(path, "feature file", FEATURE_HEADER, payload_len, body)
+    return struct.unpack_from("<II", header, 8), payload
 
 
 def read_feature_header(path):
-    """Frame and dim counts from the header alone; payload left unread."""
-    with open_artifact(path, "feature file") as fh:
-        return _read_header(fh, path)
+    """Frame and dim counts from the header, checked against the file's size;
+    the payload is left unread."""
+    return _read(path, body=False)[0]
 
 
 def read_features(path) -> np.ndarray:
     """Read a feature file back as float64 [T x D]."""
-    with open_artifact(path, "feature file") as fh:
-        t, d = _read_header(fh, path)
-        payload = read_exact(fh, 4 * t * d, "payload")
-        if fh.read(1):
-            raise FileFormatError(f"{path} has trailing bytes after payload")
-    return np.frombuffer(payload, dtype="<f4").reshape(t, d).astype(np.float64)
+    shape, payload = _read(path, body=True)
+    return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
 
 
 # -- domain transforms ----------------------------------------------------------

@@ -208,7 +208,9 @@ def splice_forward(x, context: int):
     if context == 0:
         return x, (x.shape, None)
     idx = _context_index(t, context)
-    spliced = x[idx] if x.ndim == 2 else x[:, idx]
+    # a gather along the frame axis leaves the result C-ordered, so the
+    # reshape to spliced rows is a view, not a copy
+    spliced = np.take(x, idx.reshape(-1), axis=-2)
     return spliced.reshape(x.shape[:-1] + (-1,)), (x.shape, idx)
 
 

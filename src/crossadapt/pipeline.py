@@ -14,7 +14,8 @@ A step's crops are one stack [N x L x D] (every crop has ``crop_frames``
 rows, padded ones too), and the trainable trunk runs over the stack once
 per batch, not once per crop (``Model.encode``; bit-equal, see
 ``model``).  Each stage selects the train records it samples from once, at
-stage start.
+stage start, and reads only their feature files, once each: pretrain and
+adapt the train split of every domain, finetune that of the clean domain.
 
 Finetune and adapt never train g1-g3, so their batches hold each crop's g3
 rows (``model.FrozenPrefix``) and the trunk runs from g4.  At stage start
@@ -33,6 +34,7 @@ a larger stacked pass does not pay for them in page faults.
 from __future__ import annotations
 
 import logging
+import os
 from pathlib import Path
 
 import numpy as np
@@ -66,11 +68,24 @@ __all__ = [
 ]
 
 
-def load_feature_store(manifest: CorpusManifest, root) -> dict:
-    """Read every train-split feature file once; training samples only from
-    the train split, and the corpus is desk-scale."""
-    root = Path(root)
-    return {r.utt_id: read_features(root / r.relpath) for r in manifest.select(split="train")}
+def load_feature_store(manifest: CorpusManifest, root, stage: str) -> dict:
+    """The features of the train records a ``stage`` samples from, each file
+    read once and inserted in manifest order. A file whose frame count
+    disagrees with its record is refused: the stage would train on it, and
+    ``_table_pays`` counts the manifest's frames."""
+    root = os.fspath(root)
+    sampled = {r.utt_id for records in _sampled_records(manifest, stage) for r in records}
+    store = {}
+    for r in manifest.records:
+        if r.utt_id in sampled:
+            path = os.path.join(root, r.relpath)
+            feats = read_features(path)
+            if feats.shape[0] != r.frames:
+                raise StructuralError(
+                    f"{path} holds {feats.shape[0]} frames, manifest declares {r.frames}"
+                )
+            store[r.utt_id] = feats
+    return store
 
 
 def crop_utterance(features: np.ndarray, crop_frames: int, rng):
@@ -236,7 +251,7 @@ def pretrain(corpus_root, app: AppConfig, out_path):
         seed=cfg.seed,
         with_subnets=False,
     )
-    store = load_feature_store(manifest, corpus_root)
+    store = load_feature_store(manifest, corpus_root, "pretrain")
     _seed_dictionary(model, records, store, cfg.seed)
     step = _supervised_step(model, records, store, cfg)
     return _train(model, "pretrain", cfg, step, lambda k: noam_lr(k + 1, cfg.schedule), out_path)
@@ -265,7 +280,7 @@ def finetune(init_ckpt, corpus_root, app: AppConfig, out_path):
     manifest = CorpusManifest.load(corpus_root / "manifest.tsv")
     cfg = app.finetune
     lr = 0.1 * noam_peak(app.pretrain.schedule)
-    store = load_feature_store(manifest, corpus_root)
+    store = load_feature_store(manifest, corpus_root, "finetune")
     records = _sampled_records(manifest, "finetune")
     prefix = _frozen_prefix(model, records, store, cfg)
     step = _supervised_step(model, records[0], store, cfg, prefix)
@@ -290,7 +305,7 @@ def adapt(init_ckpt, corpus_root, app: AppConfig, out_path):
         )
     cfg = app.adapt
     model.ensure_subnets(cfg.seed)
-    store = load_feature_store(manifest, corpus_root)
+    store = load_feature_store(manifest, corpus_root, "adapt")
     records = _sampled_records(manifest, "adapt")
     prefix = _frozen_prefix(model, records, store, cfg)
 

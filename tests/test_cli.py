@@ -221,6 +221,48 @@ class TestExitCodes:
                    "--out", str(tmp_path / "x.ckpt")])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "adapt", "evaluate"])
+    @pytest.mark.parametrize("damage", ["missing", "unreadable", "directory", "truncated",
+                                        "oversized", "trailing", "magic", "version"])
+    def test_bad_feature_file_exits_2(self, env, tmp_path, monkeypatch, command, damage):
+        """A clean train file every command reads, damaged each way the
+        reader refuses: each command exits 2 and writes nothing."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(env["corpus"], corpus)
+        victim = corpus / "d0" / "s000_u000_d0.xdaf"
+        raw = victim.read_bytes()
+        if damage in ("missing", "directory"):
+            victim.unlink()
+            if damage == "directory":
+                victim.mkdir()
+        elif damage == "unreadable":
+            # a mode bit does not stop every user, so the open is refused here
+            real_open = os.open
+
+            def refuse(path, *args, **kwargs):
+                if os.fspath(path) == str(victim):
+                    raise PermissionError(13, "Permission denied", path)
+                return real_open(path, *args, **kwargs)
+
+            monkeypatch.setattr(os, "open", refuse)
+        else:
+            victim.write_bytes({
+                "truncated": raw[:-4],
+                "oversized": raw[:8] + struct.pack("<II", 2**31, 2**10) + raw[16:],
+                "trailing": raw + b"\0",
+                "magic": b"XDAG" + raw[4:],
+                "version": raw[:4] + struct.pack("<I", 2) + raw[8:],
+            }[damage])
+        conf = ["--config", str(env["config"]), "--corpus", str(corpus)]
+        argv = {
+            "pretrain": ["pretrain", *conf],
+            "finetune": ["finetune", *conf, "--init", str(env["pre"])],
+            "adapt": ["adapt", *conf, "--init", str(env["ft"])],
+            "evaluate": ["evaluate", "--ckpt", str(env["ft"]), "--corpus", str(corpus)],
+        }[command]
+        assert main(["-q", *argv, "--out", str(tmp_path / "x.out")]) == 2
+        assert not (tmp_path / "x.out").exists()
+
     @pytest.mark.parametrize("flags", [
         lambda tmp: ["--config", str(tmp / "absent.yaml")],
         lambda tmp: ["--config", str(tmp / "broken.yaml")],

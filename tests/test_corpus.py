@@ -1,17 +1,23 @@
 """Corpus generation, transform, trial, and file-format tests."""
 
+import os
 import random
 import struct
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossadapt import corpus, evaluation
 from crossadapt.cli import main
 from crossadapt.corpus import (
     CorpusManifest,
     DomainSpec,
+    ManifestRecord,
     apply_domain_transform,
     gen_corpus,
     read_feature_header,
@@ -100,6 +106,48 @@ class TestFeatureFiles:
     def test_missing_file_is_format_error(self, tmp_path, reader):
         with pytest.raises(FileFormatError):
             reader(tmp_path / "absent.xdaf")
+
+    @pytest.mark.parametrize("reader", [read_features, read_feature_header])
+    def test_directory_is_format_error(self, tmp_path, reader):
+        """A directory opens like a file; the read that follows fails."""
+        (tmp_path / "dir.xdaf").mkdir()
+        with pytest.raises(FileFormatError):
+            reader(tmp_path / "dir.xdaf")
+
+    @pytest.mark.parametrize("reader", [read_features, read_feature_header])
+    @pytest.mark.parametrize("tail,error", [(-5, TruncatedFileError), (-16, TruncatedFileError),
+                                            (3, FileFormatError)])
+    def test_header_must_agree_with_the_file_size(self, tmp_path, rng, reader, tail, error):
+        """Both readers check the payload length the header declares against
+        the file's size, so verification catches what the loader would."""
+        path = tmp_path / "s.xdaf"
+        write_features(path, rng.normal(size=(3, 4)))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:tail] if tail < 0 else raw + bytes(tail))
+        with pytest.raises(error):
+            reader(path)
+
+    def test_reads_leave_no_descriptor_open(self, tmp_path, rng):
+        fds = Path("/proc/self/fd")
+        if not fds.is_dir():
+            pytest.skip("no /proc/self/fd to count descriptors")
+        good = tmp_path / "good.xdaf"
+        write_features(good, rng.normal(size=(4, 3)))
+        raw = good.read_bytes()
+        bad = {"magic": b"NOPE" + raw[4:], "truncated": raw[:-1], "trailing": raw + b"x",
+               "short": raw[:10]}
+        for name, data in bad.items():
+            (tmp_path / f"{name}.xdaf").write_bytes(data)
+        (tmp_path / "dir.xdaf").mkdir()
+        paths = [str(tmp_path / f"{name}.xdaf") for name in ["good", *bad, "dir", "absent"]]
+        before = len(os.listdir(fds))
+        for i in range(2000):
+            reader = read_features if i % 2 else read_feature_header
+            try:
+                reader(paths[i % len(paths)])
+            except FileFormatError:
+                pass
+        assert len(os.listdir(fds)) == before
 
     def test_non_finite_rejected(self, tmp_path):
         with pytest.raises(ContractError):
@@ -282,6 +330,95 @@ class TestGenCorpus:
         victim.unlink()
         with pytest.raises(StructuralError):
             man.verify_files(tmp_path)
+
+
+class TestManifestPaths:
+    def write(self, tmp_path, records):
+        CorpusManifest(1, 2, "f" * 32, records).save(tmp_path / "manifest.tsv")
+        return tmp_path / "manifest.tsv"
+
+    def test_duplicate_utterance_refused(self, tmp_path):
+        rec = ManifestRecord("s000_u000_d0", 0, 0, "train", "d0/a.xdaf", 5)
+        path = self.write(tmp_path, [rec, ManifestRecord(rec.utt_id, 1, 0, "test", "d0/b.xdaf", 5)])
+        with pytest.raises(FileFormatError, match="twice"):
+            CorpusManifest.load(path)
+
+    @pytest.mark.parametrize("relpath", ["/etc/passwd", "/d0/a.xdaf"])
+    def test_absolute_path_refused(self, tmp_path, relpath):
+        path = self.write(tmp_path, [ManifestRecord("u", 0, 0, "train", relpath, 5)])
+        with pytest.raises(FileFormatError, match="leaves the corpus"):
+            CorpusManifest.load(path)
+
+    @pytest.mark.parametrize("relpath", ["../a.xdaf", "d0/../../a.xdaf", "d0/.."])
+    def test_parent_path_refused(self, tmp_path, relpath):
+        path = self.write(tmp_path, [ManifestRecord("u", 0, 0, "train", relpath, 5)])
+        with pytest.raises(FileFormatError, match="leaves the corpus"):
+            CorpusManifest.load(path)
+
+    def test_dotted_names_inside_the_corpus_load(self, tmp_path):
+        recs = [ManifestRecord("u", 0, 0, "train", "d0/..a.xdaf", 5),
+                ManifestRecord("v", 1, 0, "train", "./d0/b..xdaf", 5)]
+        assert CorpusManifest.load(self.write(tmp_path, recs)).records == recs
+
+
+def _mutate(raw: bytes, where: int, mask: int) -> bytes:
+    """``raw`` with one byte XORed by a nonzero ``mask``."""
+    out = bytearray(raw)
+    out[where % len(out)] ^= mask
+    return bytes(out)
+
+
+class TestFuzz:
+    """Every truncation and single-byte flip of a valid file either loads or
+    ends in ``FileFormatError``; verification may also say ``StructuralError``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**32 - 1),
+           st.integers(0, 2**16), st.integers(1, 255))
+    def test_feature_file_loads_or_format_error(self, t, d, seed, where, mask):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "u.xdaf"
+            write_features(path, np.random.default_rng(seed).normal(size=(t, d)))
+            raw = path.read_bytes()
+            manifest = CorpusManifest(1, 1, "f" * 32, [ManifestRecord("u", 0, 0, "train", "u.xdaf", t)])
+            for n in range(len(raw)):
+                path.write_bytes(raw[:n])
+                with pytest.raises(FileFormatError):
+                    read_features(path)
+                with pytest.raises(FileFormatError):
+                    read_feature_header(path)
+                with pytest.raises(FileFormatError):
+                    manifest.verify_files(tmp)
+            path.write_bytes(_mutate(raw, where, mask))
+            for reader in (read_features, read_feature_header):
+                try:
+                    reader(path)
+                except FileFormatError:
+                    pass
+            try:
+                manifest.verify_files(tmp)
+            except (FileFormatError, StructuralError):
+                pass
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 3), st.sampled_from(corpus.SPLITS),
+                              st.integers(1, 500)), min_size=1, max_size=4),
+           st.integers(0, 2**16), st.integers(1, 255))
+    def test_manifest_loads_or_format_error(self, rows, where, mask):
+        records = [ManifestRecord(f"s{s:03d}_u{i:03d}_d{dom}", s, dom, split,
+                                  f"d{dom}/s{s:03d}_u{i:03d}_d{dom}.xdaf", frames)
+                   for i, (s, dom, split, frames) in enumerate(rows)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "manifest.tsv"
+            CorpusManifest(7, len(rows), "ab" * 16, records).save(path)
+            raw = path.read_bytes()
+            assert CorpusManifest.load(path).records == records
+            for data in [raw[:n] for n in range(len(raw))] + [_mutate(raw, where, mask)]:
+                path.write_bytes(data)
+                try:
+                    CorpusManifest.load(path)
+                except FileFormatError:
+                    pass
 
 
 def reference_ar1_noise(rng, frames, dim, sd, rho):

@@ -138,6 +138,18 @@ class TestSplice:
         assert dx.shape == x.shape
         assert dx.tobytes() == reference_splice_backward(dy, cache_ref).tobytes()
 
+    @pytest.mark.parametrize("context", [0, 1, 2])
+    @pytest.mark.parametrize("shape", [(7, 3), (1, 4), (5, 6, 3), (2, 1, 4)])
+    def test_gather_equals_fancy_indexing(self, rng, shape, context):
+        """The frame-axis gather, bit for bit against ``x[idx]`` per window."""
+        x = rng.normal(size=shape)
+        y, _ = splice_forward(x, context)
+        t = shape[-2]
+        idx = np.clip(np.arange(t)[:, None] + np.arange(-context, context + 1), 0, t - 1)
+        windows = x.reshape(-1, *shape[-2:])
+        want = np.stack([w[idx].reshape(t, -1) for w in windows]).reshape(*shape[:-1], -1)
+        assert y.shape == want.shape and y.tobytes() == want.tobytes()
+
     def test_all_negative_zero_gradient_sums_to_positive_zero(self):
         _, cache = splice_forward(np.ones((3, 2)), 2)
         dx = splice_backward(np.full((3, 10), -0.0), cache)

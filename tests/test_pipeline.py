@@ -1,13 +1,25 @@
 """Stage-level training tests: batching, freezing, determinism, contracts."""
 
+import shutil
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 
 from crossadapt.cli import main
-from crossadapt import pipeline
+from crossadapt import evaluation, pipeline
 from crossadapt.config import SCHEMA, build_config, load_config
-from crossadapt.corpus import CorpusManifest, DomainSpec, ManifestRecord, gen_corpus, split_counts
+from crossadapt.corpus import (
+    CorpusManifest,
+    DomainSpec,
+    ManifestRecord,
+    gen_corpus,
+    read_features,
+    split_counts,
+    write_features,
+)
 from crossadapt.errors import ContractError, StructuralError
 from crossadapt.model import load_checkpoint
 from crossadapt.pipeline import (
@@ -92,15 +104,20 @@ class TestCrop:
 
 
 class TestSampling:
-    def test_feature_store_holds_exactly_the_train_split(self, chain):
+    @pytest.mark.parametrize("stage", ["pretrain", "finetune", "adapt"])
+    def test_feature_store_holds_exactly_what_the_stage_samples(self, chain, stage):
         manifest = CorpusManifest.load(chain["corpus"] / "manifest.tsv")
-        store = load_feature_store(manifest, chain["corpus"])
-        assert set(store) == {r.utt_id for r in manifest.records if r.split == "train"}
+        store = load_feature_store(manifest, chain["corpus"], stage)
+        sampled = {r.utt_id for records in pipeline._sampled_records(manifest, stage) for r in records}
+        assert list(store) == [r.utt_id for r in manifest.records if r.utt_id in sampled]
+        domains = {0} if stage == "finetune" else {0, 1, 2}
+        assert sampled == {r.utt_id for r in manifest.records
+                           if r.split == "train" and r.domain_id in domains}
 
     def test_clean_only_restricts_domain(self, chain):
         cfg = chain["cfg"]
         manifest = CorpusManifest.load(chain["corpus"] / "manifest.tsv")
-        store = load_feature_store(manifest, chain["corpus"])
+        store = load_feature_store(manifest, chain["corpus"], "finetune")
         (records,) = pipeline._sampled_records(manifest, "finetune")
         feats, labels = sample_supervised(records, store, substream(5, "x"), cfg.finetune)
         clean_ids = {r.utt_id for r in manifest.select(0, "train")}
@@ -116,7 +133,7 @@ class TestSampling:
     def test_batch_structure_matches_config(self, chain):
         cfg = chain["cfg"]
         manifest = CorpusManifest.load(chain["corpus"] / "manifest.tsv")
-        store = load_feature_store(manifest, chain["corpus"])
+        store = load_feature_store(manifest, chain["corpus"], "adapt")
         records = pipeline._sampled_records(manifest, "adapt")
         batch = sample_batches(records, store, substream(5, "y"), cfg.adapt)
         assert len(batch.src_utts) == cfg.adapt.batch_size
@@ -128,7 +145,7 @@ class TestSampling:
     def test_speaker_sampling_uniform(self, chain):
         cfg = chain["cfg"]
         manifest = CorpusManifest.load(chain["corpus"] / "manifest.tsv")
-        store = load_feature_store(manifest, chain["corpus"])
+        store = load_feature_store(manifest, chain["corpus"], "pretrain")
         (records,) = pipeline._sampled_records(manifest, "pretrain")
         rng = substream(123, "uniform")
         counts = np.zeros(4)
@@ -151,6 +168,57 @@ class TestSampling:
             sample_supervised(records, {}, substream(1, "z"), cfg.pretrain)
         with pytest.raises(ContractError):
             sample_batches(pipeline._sampled_records(manifest, "adapt"), {}, substream(1, "z"), cfg.adapt)
+
+
+def count_reads(monkeypatch, module):
+    """Count the ``read_features`` calls ``module`` makes, by path."""
+    reads = Counter()
+
+    def spy(path):
+        reads[Path(path)] += 1
+        return read_features(path)
+
+    monkeypatch.setattr(module, "read_features", spy)
+    return reads
+
+
+class TestFeatureReads:
+    def test_finetune_reads_each_clean_train_file_once(self, chain, tmp_path, monkeypatch):
+        reads = count_reads(monkeypatch, pipeline)
+        finetune(chain["pre"], chain["corpus"], chain["cfg"], tmp_path / "ft.ckpt")
+        manifest = CorpusManifest.load(chain["corpus"] / "manifest.tsv")
+        assert reads == Counter(chain["corpus"] / r.relpath for r in manifest.select(0, "train"))
+        assert (tmp_path / "ft.ckpt").read_bytes() == chain["ft"].read_bytes()
+
+    def test_evaluate_reads_each_enroll_and_test_payload_once(self, chain, tmp_path, monkeypatch):
+        reads = count_reads(monkeypatch, evaluation)
+        rc = main(["-q", "evaluate", "--ckpt", str(chain["ft"]), "--corpus", str(chain["corpus"]),
+                   "--out", str(tmp_path / "r.report")])
+        assert rc == 0
+        manifest = CorpusManifest.load(chain["corpus"] / "manifest.tsv")
+        assert reads == Counter(chain["corpus"] / r.relpath for r in manifest.records
+                                if r.split != "train")
+
+    @pytest.mark.parametrize("stage,domain,refused", [
+        ("pretrain", 1, True), ("finetune", 0, True), ("adapt", 2, True), ("finetune", 1, False)])
+    def test_a_file_that_disagrees_with_its_record(self, chain, tmp_path, stage, domain, refused):
+        """A stage refuses a train file it samples whose frame count is not
+        the manifest's; a file it does not sample it never reads."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(chain["corpus"], corpus)
+        victim = CorpusManifest.load(corpus / "manifest.tsv").select(domain, "train")[3]
+        write_features(corpus / victim.relpath, read_features(corpus / victim.relpath)[:-1])
+        out = tmp_path / f"{stage}.ckpt"
+        run = {"pretrain": lambda: pretrain(corpus, chain["cfg"], out),
+               "finetune": lambda: finetune(chain["pre"], corpus, chain["cfg"], out),
+               "adapt": lambda: adapt(chain["ft"], corpus, chain["cfg"], out)}[stage]
+        if refused:
+            with pytest.raises(StructuralError, match="frames"):
+                run()
+            assert not out.exists()
+        else:
+            run()
+            assert out.read_bytes() == chain["ft"].read_bytes()
 
 
 class TestPretrain:
