@@ -359,6 +359,9 @@ def gen_corpus(
     # a manifest beside partly rewritten feature files would load as a corpus
     (out_dir / "manifest.tsv").unlink(missing_ok=True)
 
+    for d in range(len(domains)):
+        (out_dir / f"d{d}").mkdir(exist_ok=True)
+
     proj = substream(seed, "proj").normal(size=(identity_dim, input_dim)) / np.sqrt(identity_dim)
     train_n, enroll_n, _ = split_counts(utts_per_speaker)
     records = []
@@ -376,13 +379,12 @@ def gen_corpus(
             split = "train" if u < train_n else "enroll" if u < train_n + enroll_n else "test"
             clean = base + sessions[u] + frame_noise[:, u]
             for d, spec in enumerate(domains):
-                noise = substream(seed, "noise", stem, d)
+                # only a noisy domain draws; building a stream draws nothing
+                noise = substream(seed, "noise", stem, d) if spec.kind == "noisy" else None
                 feats = apply_domain_transform(clean, spec, noise)
                 utt_id = f"{stem}_d{d}"
                 relpath = f"d{d}/{utt_id}.xdaf"
-                fp = out_dir / relpath
-                fp.parent.mkdir(parents=True, exist_ok=True)
-                write_features(fp, feats)
+                write_features(out_dir / relpath, feats)
                 records.append(ManifestRecord(utt_id, s, d, split, relpath, frames_per_utt))
     manifest = CorpusManifest(seed, num_speakers, fingerprint, records)
     manifest.save(out_dir / "manifest.tsv")

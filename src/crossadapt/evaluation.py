@@ -8,10 +8,13 @@ length-normalized at the end.
 
 Each evaluated domain takes one trunk pass: its enroll and test utterances
 go through a single ``Model.encode`` call, whose pooled rows do not depend
-on their batch. The subnets and the normalization then run one row at a
-time, since a one-row gemm is not always bit-equal to that row of a
-many-row product. So an utterance's embedding, and every report byte, is
-the same as if it had been embedded alone.
+on their batch. Each subnet then runs once over the domain as a stack of
+one-row items [N, 1, E], since a one-row gemm is not always bit-equal to
+that row of a many-row product, and numpy computes each item with the same
+one-row product a single row gets. The normalization takes each row's norm
+from one [N, 1, E] @ [N, E, 1] product, whose items are the dot product
+``np.linalg.norm`` takes of one row. So an utterance's embedding, and every
+report byte, is the same as if it had been embedded alone.
 
 EER is computed over operating points only (threshold sweep at score
 midpoints), with linear interpolation between the two bracketing points
@@ -53,11 +56,13 @@ __all__ = [
 # -- embeddings ---------------------------------------------------------------
 
 
-def _normalize(vec: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(vec))
-    if norm <= 0.0 or not np.isfinite(norm):
+def _normalize(rows: np.ndarray) -> np.ndarray:
+    """Rows [N x E] divided by their norms, each the square root of one
+    item of a stacked [N, 1, E] @ [N, E, 1] product."""
+    norms = np.sqrt((rows[:, None, :] @ rows[:, :, None]).reshape(-1, 1))
+    if not np.all((norms > 0.0) & np.isfinite(norms)):
         raise ContractError("cannot length-normalize a zero embedding")
-    return vec / norm
+    return rows / norms
 
 
 def embed_utterances(features_list, model, stage: str, domain_id: int) -> np.ndarray:
@@ -67,9 +72,9 @@ def embed_utterances(features_list, model, stage: str, domain_id: int) -> np.nda
     subnet h-1. Clean utterances under an adapted model are embedded as the
     mean of all subnet outputs before normalization.
 
-    The trunk runs once over the whole list; subnets and normalization run
-    one row at a time, so each row is bit-equal to that utterance embedded
-    alone (see the module docstring).
+    The trunk runs once over the whole list, and each subnet and the
+    normalization once over a stack of one-row items, so each row is
+    bit-equal to that utterance embedded alone (see the module docstring).
     """
     if stage not in STAGES:
         raise ContractError(f"unknown model stage {stage!r}")
@@ -83,18 +88,16 @@ def embed_utterances(features_list, model, stage: str, domain_id: int) -> np.nda
     embs, _ = model.encode(features_list, mode="eval")
     if stage == "adapt":
         subnets = [domain_id - 1] if domain_id > 0 else range(num_targets)
-        embs = [
-            np.mean([model.subnet_forward(emb, h, mode="eval")[0][0] for h in subnets], axis=0)
-            for emb in embs
-        ]
-    return np.array([_normalize(emb) for emb in embs])
+        items = embs[:, None, :]  # [N, 1, E]
+        embs = np.mean([model.subnet_forward(items, h, mode="eval")[0] for h in subnets], axis=0)[:, 0]
+    return _normalize(embs)
 
 
 def enroll_speaker(embeddings) -> np.ndarray:
     """Speaker model: mean of enrollment embeddings, length-normalized."""
     if len(embeddings) == 0:
         raise ContractError("enrollment needs at least one embedding")
-    return _normalize(np.mean(np.asarray(embeddings, dtype=np.float64), axis=0))
+    return _normalize(np.mean(np.asarray(embeddings, dtype=np.float64), axis=0)[None])[0]
 
 
 # -- scoring ------------------------------------------------------------------
@@ -282,7 +285,7 @@ def read_report(path) -> EvalReport:
                 DomainEval(int(kv["domain"].lstrip("d")), float(kv["eer"]),
                            int(kv["trials"]), int(kv["targets"]))
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, ContractError) as exc:  # ContractError: EER outside [0, 1]
             raise FileFormatError(f"malformed report line: {ln!r}") from exc
     return EvalReport(head["checkpoint"], head.get("stage", "?"), domains)
 

@@ -151,9 +151,10 @@ def discrepancy_backward(fronts, upstream: float = 1.0):
 def median_bandwidth(src, tgt) -> float:
     """Median pairwise distance of the pooled sample; 1.0 if all points tie."""
     pooled = np.vstack([np.atleast_2d(src), np.atleast_2d(tgt)])
-    diff = pooled[:, None, :] - pooled[None, :, :]
-    d = np.sqrt(np.sum(diff * diff, axis=-1))
-    upper = d[np.triu_indices(len(pooled), k=1)]
+    # only the pairs i < j, in row-major order
+    i, j = np.triu_indices(len(pooled), k=1)
+    diff = pooled[i] - pooled[j]
+    upper = np.sqrt(np.sum(diff * diff, axis=-1))
     med = float(np.median(upper)) if upper.size else 0.0
     return med if med > 0.0 else 1.0
 

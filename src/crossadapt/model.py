@@ -11,19 +11,22 @@ and a ``back`` half (the alignment/embedding space).
 
 ``Model.encode`` is the one trunk entry point.  It groups utterances by
 frame count.  In training it runs the extractor once per group, all of a
-batch's crops as one stack [N, L, D] with one gemm per layer group, and in
-evaluation once per utterance.  Each group is pooled with one stacked
-``lde_pool`` call, in matrix form with no [T, K, D] tensor.  A canonical
-frame order makes each pooled row exactly invariant to the order of its
-frames and to its batch, and a clamp keeps expanded distances non-negative.
+batch's crops as one stack [N, L, D] with one gemm per layer group.  In
+evaluation, and for the frozen g1-g3 below, a pass has no backward, so it
+runs in stacks of about ``_STACK_ROWS`` rows, which keep each group's
+input and output in L2 (``Model._forward_windows``).  Each group is pooled
+with one stacked ``lde_pool`` call, in matrix form with no [T, K, D]
+tensor.  A canonical frame order makes each pooled row exactly invariant to
+the order of its frames and to its batch, and a clamp keeps expanded
+distances non-negative.
 
-The stack changes no bit.  Each crop's rows equal its own product's rows
+The stacks change no bit.  Each crop's rows equal its own product's rows
 wherever a product row's bits do not depend on the other rows, and the
 stack's weight grads are each crop's own product summed over the crops in
 order, as adding them crop by crop did.  ``_stacks_exactly`` checks the row
 fact per group shape, for the forward ``x @ W`` and for the input gradient
-``dpre @ W.T``; shapes that fail it, and crops under 8 frames, run crop by
-crop through the same code.
+``dpre @ W.T``, and a forward-only pass checks it for ``x @ W``; shapes that
+fail it, and windows under 8 frames, run one by one through the same code.
 
 The trunk entry points take the first group to run.  Finetune and adapt
 freeze g1-g3, so they feed g4 with each crop's g3 rows from a
@@ -171,12 +174,15 @@ def _config_from_arch(vec: np.ndarray) -> ModelConfig:
     vals = [int(v) for v in vec]
     if vals[0] != 1:
         raise BadVersionError(f"unsupported architecture record version {vals[0]}")
-    return ModelConfig(
-        extractor=ExtractorConfig(vals[1], tuple(vals[2:6]), tuple(vals[6:10])),
-        lde=LdeConfig(vals[10], vals[5]),
-        subnet=SubnetConfig(tuple(vals[11:13]), tuple(vals[13:15]), vals[15]),
-        num_speakers=vals[16],
-    )
+    try:
+        return ModelConfig(
+            extractor=ExtractorConfig(vals[1], tuple(vals[2:6]), tuple(vals[6:10])),
+            lde=LdeConfig(vals[10], vals[5]),
+            subnet=SubnetConfig(tuple(vals[11:13]), tuple(vals[13:15]), vals[15]),
+            num_speakers=vals[16],
+        )
+    except ContractError as exc:
+        raise FileFormatError(f"architecture record in checkpoint is no valid model: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +279,19 @@ def lde_pool(frames, dictionary, log_scale):
     order = (order + t * np.arange(order.size // t).reshape(*order.shape[:-1], 1)).reshape(-1)
     f = np.take(rows.reshape(-1, d), order, axis=0).reshape(rows.shape)
     s = np.exp(log_scale)
-    sqdist = np.einsum("...td,...td->...t", f, f)[..., None] - 2.0 * (f @ dictionary.T)
+    sqdist = f @ dictionary.T
+    sqdist *= 2.0
+    np.subtract(np.einsum("...td,...td->...t", f, f)[..., None], sqdist, out=sqdist)
     sqdist += np.einsum("kd,kd->k", dictionary, dictionary)
     np.maximum(sqdist, 0.0, out=sqdist)
     logits = -s * sqdist
-    logits -= logits.max(axis=-1, keepdims=True)
-    w = np.exp(logits)
+    # each row's max as a running maximum over the K columns: a max is exact
+    # in any order, and numpy reduces a short last axis slowly
+    peak = logits[..., 0].copy()
+    for j in range(1, logits.shape[-1]):
+        np.maximum(peak, logits[..., j], out=peak)
+    logits -= peak[..., None]
+    w = np.exp(logits, out=logits)
     w /= w.sum(axis=-1, keepdims=True)
     # per-row softmax is strictly positive, but a component every frame is far
     # from can underflow to 0 mass; floor it so starved components pool to ~0
@@ -289,28 +302,36 @@ def lde_pool(frames, dictionary, log_scale):
     # never appears as a bare factor that could overflow
     u = w / mass[..., None, :]
     usum = msum / mass  # the column sums of u, in closed form
-    agg = np.swapaxes(u, -1, -2) @ f - usum[..., None] * dictionary  # [..., K, D]
+    agg = np.swapaxes(u, -1, -2) @ f  # [..., K, D]
+    agg -= usum[..., None] * dictionary
     cache = (order, f, dictionary, sqdist, w, u, usum, agg, s)
     return agg.reshape(*agg.shape[:-2], -1), cache
 
 
 def lde_pool_backward(dout, cache):
     """Gradients of the pooled embeddings [..., K*D] w.r.t. frames [..., T, D],
-    dictionary and log_scale, the last two summed over the stacked utterances."""
+    dictionary and log_scale, the last two summed over the stacked utterances.
+    The cache is only read, so it can be differentiated again."""
     order, f, dictionary, sqdist, w, u, usum, agg, s = cache
     de = dout.reshape(agg.shape)  # [..., K, D]
     # weight gradient de_k . (f_t - d_k - agg_k) combines the numerator and the
     # normalizing-mass paths; the mass division is folded into u so starved
     # components get gradient 0
-    gw = f @ np.swapaxes(de, -1, -2) - np.einsum("...kd,...kd->...k", de, dictionary + agg)[..., None, :]
-    ug = u * gw
-    gl = ug - w * ug.sum(axis=-1, keepdims=True)  # softmax backward per frame
-    a = 2.0 * s * gl  # gradient of the residual f_t - d_k is u de_k - a (f_t - d_k)
+    gw = f @ np.swapaxes(de, -1, -2)
+    gw -= np.einsum("...kd,...kd->...k", de, dictionary + agg)[..., None, :]
+    ug = np.multiply(u, gw, out=gw)
+    spare = w * ug.sum(axis=-1, keepdims=True)
+    gl = np.subtract(ug, spare, out=ug)  # softmax backward per frame
     k, d = dictionary.shape
-    dlog_scale = -s * (gl * sqdist).reshape(-1, k).sum(axis=0)
-    ddict = np.swapaxes(a, -1, -2) @ f - a.sum(axis=-2)[..., None] * dictionary - usum[..., None] * de
+    dlog_scale = -s * np.multiply(gl, sqdist, out=spare).reshape(-1, k).sum(axis=0)
+    a = np.multiply(2.0 * s, gl, out=gl)  # gradient of the residual f_t - d_k is u de_k - a (f_t - d_k)
+    ddict = np.swapaxes(a, -1, -2) @ f
+    ddict -= a.sum(axis=-2)[..., None] * dictionary
+    ddict -= usum[..., None] * de
     ddict = ddict.reshape(-1, k, d).sum(axis=0)
-    dsorted = u @ de + a @ dictionary - a.sum(axis=-1, keepdims=True) * f
+    dsorted = u @ de
+    dsorted += a @ dictionary
+    dsorted -= a.sum(axis=-1, keepdims=True) * f
     dframes = np.empty((order.size, d))
     dframes[order] = dsorted.reshape(-1, d)
     return dframes.reshape(f.shape), ddict, dlog_scale
@@ -453,6 +474,33 @@ class Model:
                 caches.append((sp_cache, af_cache, relu_cache))
         return h, caches
 
+    def _forward_windows(self, windows, first: int, last: int):
+        """Yield the output [T, D'] of groups ``first``..``last``, in eval
+        mode, of each of the equal-length windows [T, D], in order.
+
+        The windows run in stacks of about ``_STACK_ROWS`` rows, one gemm per
+        group per stack, when that gives each window's rows exactly: T >= 8
+        and the row fact for every group's ``x @ W`` (``_gemm_rows_exact``).
+        Otherwise each window runs alone.  A pass up to g4 goes through
+        ``extractor_forward``, the one trunk entry point.  Each output is a
+        view of its own stack's output: one block per stack, not one for all
+        the windows, leaves the heap less fragmented.
+        """
+        shape = np.shape(windows[0])
+        t = shape[0]
+        # a malformed window runs alone, so extractor_forward names its fault
+        exact = (len(shape) == 2 and t >= _MIN_GEMM_ROWS and first >= 1
+                 and all(np.shape(x) == shape for x in windows)
+                 and all(_gemm_rows_exact(*self.params[f"g{g}.W"].shape) for g in range(first, last + 1)))
+        per = max(1, _STACK_ROWS // t) if exact else 1
+        for i in range(0, len(windows), per):
+            x = windows[i] if per == 1 else np.stack(windows[i : i + per])
+            if last == NUM_GROUPS:
+                h = self.extractor_forward(x, "eval", first)[0]
+            else:
+                h = self._groups_forward(x, first, last, "eval")[0]
+            yield from h.reshape((-1,) + h.shape[-2:])
+
     def extractor_backward(self, dh, caches, grads):
         """Accumulate the parameter grads of every group the forward ran;
         ``dh`` is the gradient of the forward's output, of its shape.
@@ -481,19 +529,25 @@ class Model:
         """Trunk pass over frame matrices -> embeddings [N x K*D].
 
         ``utts`` is a list of frame matrices or a stack [N x T x D].  They
-        are grouped by frame count.  In train mode the extractor runs from
-        ``first_group`` once per group, as one stack, when that gives each
-        window's rows exactly (``_stacks_exactly``); otherwise, and always
-        in eval mode, once per utterance.  Each group is pooled by one
-        stacked ``lde_pool`` call; rows come back in input order, and a
-        row's bytes do not depend on which other utterances share the list.
+        are grouped by frame count, and the extractor runs from
+        ``first_group`` over each group.  In train mode it runs once per
+        group, as one stack, when that gives each window's rows and grads
+        exactly (``_stacks_exactly``), otherwise once per utterance; in eval
+        mode it runs in stacks of about ``_STACK_ROWS`` rows
+        (``_forward_windows``).  Each group is pooled by one stacked
+        ``lde_pool`` call; rows come back in input order, and a row's bytes
+        do not depend on which other utterances share the list.
         """
         lengths = np.array([len(x) for x in utts])
         embs = np.empty((len(utts), self.config.lde.output_dim))
         pools = []
         for t in np.unique(lengths):
             rows = np.flatnonzero(lengths == t)
-            if mode == "train" and _stacks_exactly(self, int(t), first_group):
+            if mode != "train":
+                out, windows = np.empty((len(rows), t, self.config.extractor.group_dims[-1])), []
+                for j, h in enumerate(self._forward_windows([utts[i] for i in rows], first_group, NUM_GROUPS)):
+                    out[j] = h
+            elif _stacks_exactly(self, int(t), first_group):
                 stack = np.asarray(utts) if len(rows) == len(utts) else np.stack([utts[i] for i in rows])
                 out, ex_cache = self.extractor_forward(stack, mode, first_group)
                 windows = [(slice(None), ex_cache)]
@@ -614,6 +668,17 @@ _MIN_GEMM_ROWS = 8
 _SMALL_GEMM_MACS = 10**6
 
 
+# rows per stack of a forward-only trunk pass, so that a group's spliced
+# input and output stay in L2.  On a 2-core Xeon (2 MB L2 per core) with one
+# BLAS thread, stacks of 300-500 rows were fastest (best of interleaved
+# repeats, default shapes): g1-g3 over 104 crops of 60 frames took 4.8 ms
+# crop by crop, 3.1-3.3 ms in stacks of 5-9 crops and 9.7 ms as one stack;
+# over 560 utterances of 100 frames 44 ms one by one, 32-33 ms in stacks
+# of 4-5 and 88 ms in stacks of 20; g1-g4 over 192 utterances of 200
+# frames 23.0 ms one by one, 21.7 ms in stacks of 2 and 54 ms in stacks of 5
+_STACK_ROWS = 512
+
+
 @functools.lru_cache(maxsize=64)
 def _gemm_rows_exact(k: int, n: int, transposed: bool = False) -> bool:
     """Whether the BLAS gives each row of an [m x k] @ [k x n] product with
@@ -675,9 +740,9 @@ class FrozenPrefix:
     of at least 8 rows, which is checked per group shape before any table
     is built.  Crops that are padded, have at most 2R or fewer than 8
     frames, come from an untabled utterance, or would leave the edge pass
-    under 8 rows go through g1-g3 whole, one by one: stacking them would
-    hold every crop's spliced g1 input at once, several MB at the default
-    shapes.
+    under 8 rows go through g1-g3 whole.  They, and the utterances the
+    table is built from, grouped by length, run in stacks of about
+    ``_STACK_ROWS`` rows where that is exact (``Model._forward_windows``).
     """
 
     def __init__(self, model: Model, utterances: dict):
@@ -689,10 +754,12 @@ class FrozenPrefix:
         if utterances and not all(_gemm_rows_exact(*model.params[f"g{g + 1}.W"].shape)
                                   for g in range(FROZEN_GROUPS)):
             utterances = {}
-        self.table = {u: self._run(x) for u, x in utterances.items()}
-
-    def _run(self, frames):
-        return self.model._groups_forward(frames, 1, FROZEN_GROUPS, "eval")[0]
+        by_length = {}
+        for u, x in utterances.items():
+            by_length.setdefault(len(x), []).append(u)
+        self.table = {}
+        for ids in by_length.values():
+            self.table.update(zip(ids, model._forward_windows([utterances[u] for u in ids], 1, FROZEN_GROUPS)))
 
     def crop_rows(self, crops, keys):
         """g3 rows [N x L x D] of crops [L x input_dim] of one length L, in
@@ -708,15 +775,16 @@ class FrozenPrefix:
             tabled = []
         out = np.empty((len(crops), size, self.model.config.extractor.group_dims[FROZEN_GROUPS - 1]))
         if tabled and r:
-            edges = self._run(np.stack([w for i in tabled for w in (crops[i][: 2 * r], crops[i][-2 * r :])]))
+            windows = np.stack([w for i in tabled for w in (crops[i][: 2 * r], crops[i][-2 * r :])])
+            edges = self.model._groups_forward(windows, 1, FROZEN_GROUPS, "eval")[0]
             out[tabled, :r] = edges[0::2, :r]
             out[tabled, size - r :] = edges[1::2, r:]
         for i in tabled:
             utt, s = keys[i]
             out[i, r : size - r] = self.table[utt][s + r : s + size - r]
-        whole = set(range(len(crops))).difference(tabled)
-        for i in sorted(whole):
-            out[i] = self._run(crops[i])
+        whole = sorted(set(range(len(crops))).difference(tabled))
+        for i, h in zip(whole, self.model._forward_windows([crops[i] for i in whole], 1, FROZEN_GROUPS)):
+            out[i] = h
         return out
 
 
@@ -816,8 +884,10 @@ def load_checkpoint(path):
             (rank,) = struct.unpack("<B", read_exact(fh, 1, "tensor rank"))
             dims = [struct.unpack("<I", read_exact(fh, 4, "tensor dims"))[0] for _ in range(rank)]
             payload = read_exact(fh, 4 * math.prod(dims), f"tensor {name} payload")
-            arr = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float64)
-            tensors[name] = arr
+            try:  # numpy refuses over 64 dims, or a shape whose size overflows
+                tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float64)
+            except ValueError as exc:
+                raise FileFormatError(f"checkpoint tensor {name} has no usable shape: {exc}") from exc
         stored_fp = read_exact(fh, 16, "fingerprint")
         if fh.read(1):
             raise FileFormatError("trailing bytes after checkpoint fingerprint")

@@ -17,6 +17,17 @@ def micro_config(input_dim=4, width=4, context=(0, 1, 0, 0), num_domains=2, num_
     )
 
 
+def default_like_config():
+    """The default trunk: 20 input dims, four 24-wide groups with context
+    (2, 1, 1, 0), 8 components and 64/64/32/32 subnets over 3 domains."""
+    return ModelConfig(
+        extractor=ExtractorConfig(20, (24, 24, 24, 24), (2, 1, 1, 0)),
+        lde=LdeConfig(num_components=8, component_dim=24),
+        subnet=SubnetConfig(front_dims=(64, 64), back_dims=(32, 32), num_domains=3),
+        num_speakers=3,
+    )
+
+
 def set_arch_entry(path, slot, value):
     """Overwrite one float32 slot of a checkpoint's architecture record."""
     blob = bytearray(Path(path).read_bytes())

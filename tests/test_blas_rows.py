@@ -6,6 +6,9 @@ utterance alone. Finetune and adapt read a crop's g1-g3 rows from a
 per-utterance table and a stacked pass over edge windows, and every
 training stage runs the trainable trunk over all crops of a batch as one
 stack; the checkpoints stay byte-identical to running each crop whole.
+Every forward-only pass (evaluation's trunk, the table, untabled crops)
+runs its windows in stacks of about 512 rows, and evaluation runs each
+subnet and each norm once over a stack of one-row items.
 That holds only while a product row's bits do not depend on the other rows
 in the product, and while the stack's grads sum in crop order. These tests
 pin that at the shapes the code uses, so a BLAS that breaks it fails here,
@@ -27,7 +30,9 @@ probes it per shape.
 import numpy as np
 import pytest
 
-from crossadapt.model import _gemm_rows_exact
+from crossadapt import model as model_mod
+from crossadapt.model import Model, _gemm_rows_exact
+from conftest import default_like_config
 
 # default model: 20 input dims, four 24-wide groups with context (2, 1, 1, 0)
 # and 8 dictionary components; (spliced width, group width) per group
@@ -36,6 +41,9 @@ FRAME_COUNTS = (60, 100, 200)  # training crops, recipe and eval-wide utterances
 STACK_SIZES = (1, 2, 3, 8, 17, 64, 192)
 COMPONENTS, WIDTH = 8, 24
 CROP, HALO = 60, 4  # training crop frames; R = sum of the g1-g3 context widths
+EVAL_STACKS = (2, 3, 4, 5)  # windows per forward-only stack at 100-200 frames
+SUBNET_GEMMS = [(192, 64), (64, 64), (64, 32), (32, 32)]  # front.0 .. back.1
+EMBEDDING_DIMS = (COMPONENTS * WIDTH, 32)  # pooled, adapted
 
 
 def slices(rows):
@@ -230,3 +238,73 @@ class TestStackedTrunkProducts:
             f"the row-exactness probe refuses the [{k}x{n}] trunk gemm or its input "
             "gradient, so training would run the trunk crop by crop"
         )
+
+
+class TestForwardOnlyStacks:
+    """Forward-only passes: evaluation's trunk and the frozen g1-g3 run
+    equal-length windows in stacks of about ``model._STACK_ROWS`` rows
+    (``Model._forward_windows``), and evaluation runs each subnet once over
+    a stack of one-row items [N, 1, E] and takes each norm from one
+    [N, 1, E] @ [N, E, 1] product."""
+
+    @pytest.mark.parametrize("t", FRAME_COUNTS)
+    @pytest.mark.parametrize("k,n", TRUNK_GEMMS)
+    def test_stack_rows_equal_each_window_product(self, t, k, n):
+        rng = np.random.default_rng(k * 1000 + t + 4)
+        w = rng.normal(size=(k, n))
+        for windows in EVAL_STACKS:
+            x = rng.normal(size=(windows, t, k))
+            stacked = x.reshape(-1, k) @ w
+            for i in range(windows):
+                assert (x[i] @ w).tobytes() == stacked[i * t : (i + 1) * t].tobytes(), (
+                    f"BLAS row fact 'a [{windows}*{t}, {k}] stack product equals each window's "
+                    f"own product' fails: window {i}, [{k}x{n}] weights"
+                )
+
+    @pytest.mark.parametrize("t,probe,calls", [
+        (60, True, [(8, 60, 20), (8, 60, 20), (4, 60, 20)]),  # stacks of 512 // 60 windows
+        (7, True, [(7, 20)] * 20),  # under 8 rows: one window at a time
+        (60, False, [(60, 20)] * 20),  # a shape that fails the row probe
+    ])
+    def test_stacks_only_where_the_row_fact_holds(self, monkeypatch, t, probe, calls):
+        model = Model.create(default_like_config(), seed=0)
+        if not probe:
+            monkeypatch.setattr(model_mod, "_gemm_rows_exact", lambda k, n, transposed=False: False)
+        windows = list(np.random.default_rng(t).normal(size=(20, t, 20)))
+        seen = []
+        forward = Model.extractor_forward
+
+        def spy(self, x, mode="train", first_group=1):
+            seen.append(np.shape(x))
+            return forward(self, x, mode, first_group)
+
+        monkeypatch.setattr(Model, "extractor_forward", spy)
+        out = list(model._forward_windows(windows, 1, 4))
+        assert seen == calls
+        for x, got in zip(windows, out):
+            assert got.tobytes() == forward(model, x, "eval")[0].tobytes()
+
+    @pytest.mark.parametrize("k,n", SUBNET_GEMMS)
+    def test_one_row_items_equal_the_one_row_product(self, k, n):
+        rng = np.random.default_rng(k * 1000 + n)
+        w = rng.normal(size=(k, n))
+        for items in (1, 2, 7, 64, 192):
+            x = rng.normal(size=(items, 1, k))
+            stacked = x @ w
+            for i in range(items):
+                assert stacked[i].tobytes() == (x[i] @ w).tobytes(), (
+                    f"numpy fact 'each item of [{items}, 1, {k}] @ [{k}x{n}] equals the one-row "
+                    f"product [1, {k}] @ W' fails: item {i}"
+                )
+
+    @pytest.mark.parametrize("dim", EMBEDDING_DIMS)
+    def test_stacked_row_dots_equal_each_row_norm(self, dim):
+        rng = np.random.default_rng(dim)
+        # mixed magnitudes make the summation order visible in the last bits
+        rows = rng.normal(size=(192, dim)) * 10.0 ** rng.integers(-8, 9, size=(192, dim))
+        norms = np.sqrt((rows[:, None, :] @ rows[:, :, None]).reshape(-1))
+        for i in range(len(rows)):
+            assert norms[i].tobytes() == np.float64(np.linalg.norm(rows[i])).tobytes(), (
+                f"numpy fact 'item {i} of [N, 1, {dim}] @ [N, {dim}, 1] is the dot product "
+                f"np.linalg.norm takes of that row' fails"
+            )

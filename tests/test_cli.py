@@ -6,10 +6,13 @@ import shutil
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import crossadapt
 from crossadapt import cli, pipeline
@@ -48,6 +51,12 @@ BAD_VALUES = [
     "pretrain.schedule.noam_dim=2.5", "adapt.steps=true", "corpus.identity_dim=0",
     "adapt.bandwidth=nan", "adapt.schedule.lr0=inf",
 ]
+
+
+def flip(raw, where, mask):
+    out = bytearray(raw)
+    out[where % len(out)] ^= mask
+    return bytes(out)
 
 
 def chain(root, cfg):
@@ -202,6 +211,35 @@ class TestExitCodes:
         rc = main(["-q", "evaluate", "--ckpt", str(env["ft"]), "--corpus", str(tmp_path),
                    "--out", str(tmp_path / "r.report")])
         assert rc == 2
+
+    def test_every_truncated_report_exits_0_or_2(self, env, tmp_path):
+        """A cut at a line end leaves a valid report, which may cover fewer
+        domains than the baseline; nothing ends in a traceback."""
+        raw = env["ad_rep"].read_bytes()
+        cut = tmp_path / "cut.report"
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            rc = main(["-q", "report", "--baseline", str(env["base_rep"]), "--adapted", str(cut)])
+            assert rc in (0, 2), n
+
+    @given(st.integers(0, 2**20), st.integers(1, 255))
+    @example(4 + 4 + 1 + 8 + 4 + 2 + 4, 0x40)  # the rank of the first tensor, "arch": 1 -> 65 dims
+    @settings(max_examples=25, deadline=None)
+    def test_fuzzed_checkpoint_and_report_exit_0_or_2(self, env, where, mask):
+        """A truncated checkpoint exits 2; a flipped byte of a checkpoint or
+        a report either leaves a valid file or exits 2."""
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = Path(tmp) / "bad"
+            raw = env["ad"].read_bytes()
+            bad.write_bytes(raw[: where % len(raw)])
+            evaluate = ["-q", "evaluate", "--ckpt", str(bad), "--corpus", str(env["corpus"]),
+                        "--out", str(Path(tmp) / "r.report")]
+            assert main(evaluate) == 2
+            bad.write_bytes(flip(raw, where, mask))
+            with np.errstate(invalid="ignore"):  # a flip can make a signalling NaN
+                assert main(evaluate) in (0, 2)
+            bad.write_bytes(flip(env["ad_rep"].read_bytes(), where, mask))
+            assert main(["-q", "report", "--baseline", str(env["base_rep"]), "--adapted", str(bad)]) in (0, 2)
 
     def test_missing_checkpoint_exits_2(self, env, tmp_path):
         missing = str(tmp_path / "missing.ckpt")

@@ -267,6 +267,19 @@ class TestGenCorpus:
         for rel in files_a:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
+    def test_only_noisy_domains_build_a_noise_stream(self, tmp_path, monkeypatch):
+        tags = []
+        substream = corpus.substream
+
+        def spy(seed, *names):
+            tags.append(names[0])
+            return substream(seed, *names)
+
+        monkeypatch.setattr(corpus, "substream", spy)
+        gen_corpus(tmp_path, seed=3, num_speakers=3, utts_per_speaker=4, frames_per_utt=5,
+                   domains=small_domains() + [DomainSpec("farfield", smear_width=2)], input_dim=6)
+        assert tags.count("noise") == 3 * 4  # one noisy domain of four
+
     def test_speaker_structure_in_clean_features(self, tmp_path):
         man = gen_corpus(tmp_path, seed=5, num_speakers=5, utts_per_speaker=6,
                          frames_per_utt=20, domains=[DomainSpec("clean")], input_dim=8)

@@ -1,12 +1,14 @@
 """Evaluation-side tests: embeddings, scoring, EER against oracles, reports."""
 
+import functools
 import shutil
+import tempfile
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossadapt import evaluation
@@ -28,9 +30,9 @@ from crossadapt.evaluation import (
     score_trials,
     write_report,
 )
-from crossadapt.model import STAGES, Model
+from crossadapt.model import STAGES, Model, lde_pool
 
-from conftest import jitter_params, micro_config
+from conftest import default_like_config, jitter_params, micro_config
 
 
 def records_from(targets, nontargets):
@@ -101,6 +103,26 @@ class TestEnroll:
             enroll_speaker([])
 
 
+@functools.lru_cache(maxsize=1)
+def default_like_model():
+    model = Model.create(default_like_config(), seed=4, with_subnets=True)
+    return jitter_params(model, seed=4, scale=0.05)
+
+
+def per_row_embed(features_list, model, stage, domain_id):
+    """``embed_utterances`` as a loop: the trunk, the subnets and
+    ``np.linalg.norm`` run for one utterance at a time."""
+    rows = []
+    for x in features_list:
+        out, _ = model.extractor_forward(x, "eval")
+        emb, _ = lde_pool(out, model.params["lde.dict"], model.params["lde.log_scale"])
+        if stage == "adapt":
+            subnets = [domain_id - 1] if domain_id > 0 else range(model.config.subnet.num_domains)
+            emb = np.mean([model.subnet_forward(emb, h, mode="eval")[0][0] for h in subnets], axis=0)
+        rows.append(emb / float(np.linalg.norm(emb)))
+    return np.array(rows)
+
+
 def embed_one(x, model, stage, domain_id):
     (emb,) = embed_utterances([x], model, stage, domain_id)
     return emb
@@ -158,6 +180,21 @@ class TestEmbed:
             for i, x in enumerate(utts):
                 alone = embed_one(x, generic_model, stage, dom)
                 assert together[i].tobytes() == alone.tobytes(), (stage, dom, i)
+
+    @given(st.lists(st.sampled_from([5, 8, 60, 100, 200]), min_size=1, max_size=14),
+           st.sampled_from(STAGES), st.integers(0, 3), st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_equal_one_utterance_calls_for_any_n(self, lengths, stage, domain, seed):
+        """At default shapes the trunk runs in L2-sized stacks and each
+        subnet once over the [N, 1, E] stack; every row keeps the bytes of
+        its utterance embedded alone, and of the per-row loop."""
+        rng = np.random.default_rng(seed)
+        utts = [rng.normal(size=(t, 20)) for t in lengths]
+        model = default_like_model()
+        together = embed_utterances(utts, model, stage, domain)
+        assert together.tobytes() == per_row_embed(utts, model, stage, domain).tobytes()
+        for i, x in enumerate(utts):
+            assert together[i].tobytes() == embed_one(x, model, stage, domain).tobytes(), i
 
     def test_empty_list_rejected(self, generic_model):
         with pytest.raises(ContractError):
@@ -276,6 +313,24 @@ class TestReports:
         (tmp_path / "bad.txt").write_text("hello\n")
         with pytest.raises(FileFormatError):
             read_report(tmp_path / "bad.txt")
+
+    @given(st.integers(0, 2**16), st.integers(1, 255))
+    @example(len("checkpoint=adapt@200 stage=adapt\ndomain=d0 eer="), ord("0") ^ ord("5"))  # EER 5.0022
+    @settings(max_examples=300, deadline=None)
+    def test_every_truncation_and_a_flipped_byte_load_or_format_error(self, where, mask):
+        _, new = self.reports()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "r.report"
+            write_report(path, new)
+            raw = path.read_bytes()
+            flipped = bytearray(raw)
+            flipped[where % len(raw)] ^= mask
+            for data in [raw[:n] for n in range(len(raw))] + [bytes(flipped)]:
+                path.write_bytes(data)
+                try:
+                    read_report(path)
+                except FileFormatError:
+                    pass
 
     def test_table_reproduces_rd_row(self):
         base, new = self.reports()

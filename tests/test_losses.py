@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossadapt.errors import ContractError, StructuralError
 from crossadapt.losses import (
@@ -169,6 +171,24 @@ class TestMmd:
         assert median_bandwidth(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]])) == pytest.approx(5.0)
         same = np.ones((3, 2))
         assert median_bandwidth(same, same) == 1.0
+
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 40), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_median_bandwidth_equals_the_full_distance_matrix(self, m, n, d, ties, seed):
+        """Only the pairs i < j are formed, in the order the upper triangle
+        of the full [n, n] matrix gave them, so the median is bit-equal."""
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=(m, d)), rng.normal(size=(n, d))
+        if ties:  # repeated points and repeated distances
+            x[::2] = x[0]
+            y = np.round(y)
+        pooled = np.vstack([x, y])
+        diff = pooled[:, None, :] - pooled[None, :, :]
+        upper = np.sqrt(np.sum(diff * diff, axis=-1))[np.triu_indices(len(pooled), k=1)]
+        med = float(np.median(upper)) if upper.size else 0.0
+        got = median_bandwidth(x, y)
+        assert np.float64(got).tobytes() == np.float64(med if med > 0.0 else 1.0).tobytes()
 
     def test_bad_bandwidth_rejected(self, rng):
         x = rng.normal(size=(3, 2))

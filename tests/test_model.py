@@ -1,4 +1,5 @@
 import struct
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from crossadapt.model import (
     splice_forward,
     trainable_names,
 )
-from conftest import jitter_params, micro_config, set_arch_entry
+from conftest import default_like_config, jitter_params, micro_config, set_arch_entry
 from gradcheck import grad_check
 
 
@@ -213,7 +214,100 @@ def lde_oracle_tol(frames, dictionary, log_scale):
     return 1024 * np.finfo(np.float64).eps * max(1.0, float(np.exp(log_scale).max() * sq))
 
 
+def plain_lde_pool(frames, dictionary, log_scale):
+    """The matrix form as it ran before the running row max: numpy's max
+    over the component axis and a fresh array for every step."""
+    rows = np.ascontiguousarray(frames, dtype=np.float64)
+    t, d = rows.shape[-2:]
+    order = np.argsort(rows.view(np.dtype((np.void, rows.itemsize * d)))[..., 0], axis=-1, kind="stable")
+    order = (order + t * np.arange(order.size // t).reshape(*order.shape[:-1], 1)).reshape(-1)
+    f = np.take(rows.reshape(-1, d), order, axis=0).reshape(rows.shape)
+    s = np.exp(log_scale)
+    sqdist = np.einsum("...td,...td->...t", f, f)[..., None] - 2.0 * (f @ dictionary.T)
+    sqdist += np.einsum("kd,kd->k", dictionary, dictionary)
+    np.maximum(sqdist, 0.0, out=sqdist)
+    logits = -s * sqdist
+    logits -= logits.max(axis=-1, keepdims=True)
+    w = np.exp(logits)
+    w /= w.sum(axis=-1, keepdims=True)
+    msum = w.sum(axis=-2)
+    mass = np.maximum(msum, np.finfo(np.float64).tiny)
+    u = w / mass[..., None, :]
+    usum = msum / mass
+    agg = np.swapaxes(u, -1, -2) @ f - usum[..., None] * dictionary
+    cache = (order, f, dictionary, sqdist, w, u, usum, agg, s)
+    return agg.reshape(*agg.shape[:-2], -1), cache
+
+
+def plain_lde_pool_backward(dout, cache):
+    """The backward of ``plain_lde_pool``, a fresh array for every step."""
+    order, f, dictionary, sqdist, w, u, usum, agg, s = cache
+    de = dout.reshape(agg.shape)
+    gw = f @ np.swapaxes(de, -1, -2) - np.einsum("...kd,...kd->...k", de, dictionary + agg)[..., None, :]
+    ug = u * gw
+    gl = ug - w * ug.sum(axis=-1, keepdims=True)
+    a = 2.0 * s * gl
+    k, d = dictionary.shape
+    dlog_scale = -s * (gl * sqdist).reshape(-1, k).sum(axis=0)
+    ddict = np.swapaxes(a, -1, -2) @ f - a.sum(axis=-2)[..., None] * dictionary - usum[..., None] * de
+    ddict = ddict.reshape(-1, k, d).sum(axis=0)
+    dsorted = u @ de + a @ dictionary - a.sum(axis=-1, keepdims=True) * f
+    dframes = np.empty((order.size, d))
+    dframes[order] = dsorted.reshape(-1, d)
+    return dframes.reshape(f.shape), ddict, dlog_scale
+
+
+def assert_same_bits(a, b, name):
+    """Bit-equal but for the sign of a NaN, which numpy's max reduction and
+    a running maximum can leave apart; no NaN reaches a checkpoint or a
+    report."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    assert a.shape == b.shape and np.array_equal(nan, np.isnan(b)), name
+    assert a[~nan].tobytes() == b[~nan].tobytes(), name
+
+
 class TestLdePooling:
+    @given(
+        st.sampled_from([1, 3, 8, 17]),
+        st.sampled_from([(), (1,), (5,)]),
+        st.sampled_from([1, 2, 9, 60]),
+        st.integers(min_value=1, max_value=24),
+        st.sampled_from(["on", "near", "far", "inf"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(k=8, lead=(104,), t=60, d=24, place="on", seed=1)  # the adapt shape
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_to_the_plain_matrix_form(self, k, lead, t, d, place, seed):
+        """The running row max and the reused temporaries change no bit of
+        the pooled rows or the gradients, and the backward leaves its cache
+        as it found it."""
+        rng = np.random.default_rng(seed)
+        frames = np.maximum(rng.normal(size=(*lead, t, d)), 0.0)
+        frames.reshape(-1, d)[1::3] = frames.reshape(-1, d)[0]  # repeated frames tie
+        dictionary = frames.reshape(-1, d)[rng.integers(0, frames.size // d, size=k)]
+        if place == "near":
+            dictionary = dictionary + 0.1 * rng.normal(size=(k, d))
+        elif place == "far":  # starved components
+            dictionary = dictionary + 3.0 * rng.normal(size=(k, d))
+        log_scale = 3.0 * rng.normal(size=k)
+        if place == "inf":  # an infinite scale: 0 * inf makes NaN rows
+            log_scale[0] = 1000.0
+        with np.errstate(all="ignore"):
+            out, cache = lde_pool(frames, dictionary, log_scale)
+            ref, ref_cache = plain_lde_pool(frames, dictionary, log_scale)
+            dout = rng.normal(size=out.shape)
+            want = plain_lde_pool_backward(dout, ref_cache)
+            kept = [np.copy(c) for c in cache]
+            for _ in range(2):
+                got = lde_pool_backward(dout, cache)
+                for name, a, b in zip(("dframes", "ddict", "dlog_scale"), got, want):
+                    assert_same_bits(a, b, name)
+        assert_same_bits(out, ref, "pooled")
+        for i, (a, b, c) in enumerate(zip(cache, ref_cache, kept)):
+            assert_same_bits(a, b, f"cache[{i}]")
+            assert np.asarray(a).tobytes() == c.tobytes(), f"backward changed cache[{i}]"
+
     @given(
         st.sampled_from([1, 3, 60, 200]),
         st.integers(min_value=1, max_value=8),
@@ -496,6 +590,24 @@ class TestFrozenPrefix:
                 from_g4, _ = model.extractor_forward(got, first_group=4)
                 assert from_g4.tobytes() == full.tobytes()
 
+    @given(st.lists(st.sampled_from([5, 8, 60, 100]), min_size=1, max_size=12),
+           st.integers(1, 40), st.sampled_from([7, 8, 60]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_table_and_untabled_crops_equal_each_run_alone(self, lengths, n, size, seed):
+        """At default shapes the table, built per length in L2-sized stacks,
+        holds each utterance's own g1-g3 rows, and so do untabled crops."""
+        rng = np.random.default_rng(seed)
+        model = jitter_params(Model.create(default_like_config(), seed=seed % 1000), seed=seed, scale=0.05)
+        store = {f"u{i}": rng.normal(size=(t, 20)) for i, t in enumerate(lengths)}
+        prefix = FrozenPrefix(model, store)
+        assert set(prefix.table) == set(store)
+        for u, x in store.items():
+            assert prefix.table[u].tobytes() == reference_g3(model, x).tobytes(), u
+        crops = list(rng.normal(size=(n, size, 20)))
+        rows = prefix.crop_rows(crops, [("untabled", 0)] * n)
+        for i, crop in enumerate(crops):
+            assert rows[i].tobytes() == reference_g3(model, crop).tobytes(), i
+
     def test_tabled_crops_read_the_table(self, generic_model, rng):
         """At default-like shapes the middle rows of a tabled crop are the
         table's rows, so the edge path, not the whole-crop path, made them."""
@@ -708,6 +820,37 @@ class TestCheckpoints:
             save_checkpoint(path, micro_model, "adapt", 2)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+    def test_every_truncation_is_a_format_error(self, generic_model, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, generic_model, "adapt", 3)
+        raw = path.read_bytes()
+        for n in range(len(raw)):
+            path.write_bytes(raw[:n])
+            with pytest.raises(FileFormatError):
+                load_checkpoint(path)
+
+    @given(st.integers(0, 2**16), st.integers(1, 255))
+    @example(4 + 4 + 1 + 8 + 4 + 2 + 4, 0x40)  # the rank of the first tensor, "arch": 1 -> 65 dims
+    @example(32 + 4 * 7 + 3, 0x80)  # the sign of arch slot 7, context[1]: 1 -> -1
+    @settings(max_examples=300, deadline=None)
+    def test_a_flipped_byte_loads_or_is_a_format_error(self, where, mask):
+        """A flip may leave a valid checkpoint, with other weights; anything
+        else, a broken architecture record or a shape numpy cannot make
+        included, is ``FileFormatError``."""
+        model = jitter_params(Model.create(micro_config(), seed=5, with_subnets=True))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.ckpt"
+            save_checkpoint(path, model, "adapt", 3)
+            blob = bytearray(path.read_bytes())
+            blob[where % len(blob)] ^= mask
+            path.write_bytes(bytes(blob))
+            try:
+                with np.errstate(invalid="ignore"):  # a flip can make a signalling NaN
+                    loaded, _ = load_checkpoint(path)
+            except FileFormatError:
+                return
+            assert set(loaded.params) == set(model.params)
 
     def test_loaded_model_runs_forward(self, micro_model, tmp_path, rng):
         path = tmp_path / "m.ckpt"
