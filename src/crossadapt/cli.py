@@ -69,12 +69,7 @@ def _add_config_flags(sub):
 
 def cmd_gen_corpus(args) -> int:
     cfg = _config_of(args)
-    c = cfg.corpus
-    manifest = gen_corpus(
-        args.out, cfg.seed, c.num_speakers, c.utts_per_speaker, c.frames_per_utt,
-        list(c.domains), input_dim=c.input_dim, identity_dim=c.identity_dim,
-        id_scale=c.id_scale, sess_scale=c.sess_scale, frame_sd=c.frame_sd, ar_rho=c.ar_rho,
-    )
+    manifest = gen_corpus(args.out, cfg.seed, cfg.corpus)
     log.info("wrote %d utterances across %d domains to %s",
              len(manifest.records), manifest.num_domains, args.out)
     return 0

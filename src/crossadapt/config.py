@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .corpus import DOMAIN_KINDS, DomainSpec
+from .corpus import DOMAIN_KINDS, CorpusConfig, DomainSpec
 from .errors import ContractError
 from .model import STAGES, ExtractorConfig, LdeConfig, ModelConfig, SubnetConfig
 from .numkit import ScheduleConfig
@@ -166,20 +166,6 @@ class StageConfig:
     tgt_batch_size: int = None
     kernel: str = None
     bandwidth: float = None
-
-
-@dataclass(frozen=True)
-class CorpusConfig:
-    num_speakers: int
-    utts_per_speaker: int
-    frames_per_utt: int
-    input_dim: int
-    identity_dim: int
-    id_scale: float
-    sess_scale: float
-    frame_sd: float
-    ar_rho: float
-    domains: tuple
 
 
 @dataclass(frozen=True)

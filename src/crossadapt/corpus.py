@@ -40,6 +40,7 @@ SPLITS = ("train", "enroll", "test")
 DOMAIN_KINDS = ("clean", "channel", "farfield", "noisy")
 
 __all__ = [
+    "CorpusConfig",
     "DomainSpec",
     "ManifestRecord",
     "CorpusManifest",
@@ -94,6 +95,26 @@ class DomainSpec:
         if self.kind == "noisy":
             return f"noisy:snr_db={self.snr_db:.6g}"
         return "clean"
+
+
+@dataclass(frozen=True)
+class CorpusConfig:
+    """A generation recipe; ``config.SCHEMA`` holds the default of each field."""
+
+    num_speakers: int
+    utts_per_speaker: int
+    frames_per_utt: int
+    input_dim: int
+    identity_dim: int
+    id_scale: float
+    sess_scale: float
+    frame_sd: float
+    ar_rho: float
+    domains: tuple
+
+
+# the recipe's constants, each written into the fingerprint as :.10g
+_RECIPE_CONSTANTS = ("input_dim", "identity_dim", "id_scale", "sess_scale", "frame_sd", "ar_rho")
 
 
 @dataclass(frozen=True)
@@ -304,31 +325,14 @@ def _ar1_noise(w, sd: float, rho: float) -> np.ndarray:
     return out
 
 
-def _gen_fingerprint(num_speakers, utts_per_speaker, frames_per_utt, domains, consts) -> str:
-    lines = [
-        f"num_speakers={num_speakers}",
-        f"utts_per_speaker={utts_per_speaker}",
-        f"frames_per_utt={frames_per_utt}",
-    ]
-    lines += [f"{k}={v:.10g}" for k, v in sorted(consts.items())]
-    lines += [f"domain{{{i}}}={spec.describe()}" for i, spec in enumerate(domains)]
+def _gen_fingerprint(recipe: CorpusConfig) -> str:
+    lines = [f"{k}={getattr(recipe, k)}" for k in ("num_speakers", "utts_per_speaker", "frames_per_utt")]
+    lines += [f"{k}={getattr(recipe, k):.10g}" for k in sorted(_RECIPE_CONSTANTS)]
+    lines += [f"domain{{{i}}}={spec.describe()}" for i, spec in enumerate(recipe.domains)]
     return hashlib.blake2b("\n".join(lines).encode(), digest_size=16).hexdigest()
 
 
-def gen_corpus(
-    out_dir,
-    seed: int,
-    num_speakers: int,
-    utts_per_speaker: int,
-    frames_per_utt: int,
-    domains,
-    input_dim: int = 20,
-    identity_dim: int = 16,
-    id_scale: float = 1.0,
-    sess_scale: float = 0.2,
-    frame_sd: float = 0.5,
-    ar_rho: float = 0.7,
-) -> CorpusManifest:
+def gen_corpus(out_dir, seed: int, recipe: CorpusConfig) -> CorpusManifest:
     """Generate the corpus files plus manifest under ``out_dir``.
 
     Deterministic per (seed, utterance): every random draw comes from a
@@ -337,55 +341,47 @@ def gen_corpus(
     removed before the first feature file is written, and the new one is
     written last, so an interrupted run leaves no manifest.
     """
-    if num_speakers < 2:
+    if recipe.num_speakers < 2:
         raise ContractError("need at least 2 speakers")
-    if utts_per_speaker < 1 or frames_per_utt < 1:
+    if recipe.utts_per_speaker < 1 or recipe.frames_per_utt < 1:
         raise ContractError("utterance and frame counts must be positive")
-    if not domains or domains[0].kind != "clean":
+    if not recipe.domains or recipe.domains[0].kind != "clean":
         raise ContractError("domain 0 must be the clean source domain")
-    if not 0.0 <= ar_rho < 1.0:
+    if not 0.0 <= recipe.ar_rho < 1.0:
         raise ContractError("AR(1) coefficient must lie in [0, 1)")
-    consts = {
-        "input_dim": input_dim,
-        "identity_dim": identity_dim,
-        "id_scale": id_scale,
-        "sess_scale": sess_scale,
-        "frame_sd": frame_sd,
-        "ar_rho": ar_rho,
-    }
-    fingerprint = _gen_fingerprint(num_speakers, utts_per_speaker, frames_per_utt, domains, consts)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # a manifest beside partly rewritten feature files would load as a corpus
     (out_dir / "manifest.tsv").unlink(missing_ok=True)
 
-    for d in range(len(domains)):
+    for d in range(len(recipe.domains)):
         (out_dir / f"d{d}").mkdir(exist_ok=True)
 
-    proj = substream(seed, "proj").normal(size=(identity_dim, input_dim)) / np.sqrt(identity_dim)
-    train_n, enroll_n, _ = split_counts(utts_per_speaker)
+    dim, id_dim, frames = recipe.input_dim, recipe.identity_dim, recipe.frames_per_utt
+    proj = substream(seed, "proj").normal(size=(id_dim, dim)) / np.sqrt(id_dim)
+    train_n, enroll_n, _ = split_counts(recipe.utts_per_speaker)
     records = []
-    for s in range(num_speakers):
-        identity = id_scale * substream(seed, "speaker", s).normal(size=identity_dim)
+    for s in range(recipe.num_speakers):
+        identity = recipe.id_scale * substream(seed, "speaker", s).normal(size=id_dim)
         base = identity @ proj
-        stems = [f"s{s:03d}_u{u:03d}" for u in range(utts_per_speaker)]
+        stems = [f"s{s:03d}_u{u:03d}" for u in range(recipe.utts_per_speaker)]
         # each utterance draws its session offset, then its frame noise, from
         # its own stream; the noise recurrence runs once for the speaker
         utt_rngs = [substream(seed, "utt", stem) for stem in stems]
-        sessions = [sess_scale * r.normal(size=input_dim) for r in utt_rngs]
-        draws = np.stack([r.normal(size=(frames_per_utt, input_dim)) for r in utt_rngs], axis=1)
-        frame_noise = _ar1_noise(draws, frame_sd, ar_rho)
+        sessions = [recipe.sess_scale * r.normal(size=dim) for r in utt_rngs]
+        draws = np.stack([r.normal(size=(frames, dim)) for r in utt_rngs], axis=1)
+        frame_noise = _ar1_noise(draws, recipe.frame_sd, recipe.ar_rho)
         for u, stem in enumerate(stems):
             split = "train" if u < train_n else "enroll" if u < train_n + enroll_n else "test"
             clean = base + sessions[u] + frame_noise[:, u]
-            for d, spec in enumerate(domains):
+            for d, spec in enumerate(recipe.domains):
                 # only a noisy domain draws; building a stream draws nothing
                 noise = substream(seed, "noise", stem, d) if spec.kind == "noisy" else None
                 feats = apply_domain_transform(clean, spec, noise)
                 utt_id = f"{stem}_d{d}"
                 relpath = f"d{d}/{utt_id}.xdaf"
                 write_features(out_dir / relpath, feats)
-                records.append(ManifestRecord(utt_id, s, d, split, relpath, frames_per_utt))
-    manifest = CorpusManifest(seed, num_speakers, fingerprint, records)
+                records.append(ManifestRecord(utt_id, s, d, split, relpath, frames))
+    manifest = CorpusManifest(seed, recipe.num_speakers, _gen_fingerprint(recipe), records)
     manifest.save(out_dir / "manifest.tsv")
     return manifest

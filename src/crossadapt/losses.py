@@ -17,7 +17,7 @@ gradients for all parameters it touches when handed a ``grads`` dict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,49 +44,36 @@ __all__ = [
 class DomainBatch:
     """One adaptation step's worth of samples.
 
-    ``src_utts`` are clean-domain utterances (frame matrices); ``tgt_utts``
-    holds one utterance list per target domain, with speaker labels for each
-    side. Both sides need at least two samples so the unbiased MMD estimator
-    is defined. ``crops``, when given, holds every sample as one stack
-    [N x L x D], clean first and then each target domain in order, so that
-    ``total_loss`` encodes it without stacking the samples again.
+    ``utts`` holds every sample, clean first and then each target domain in
+    order, as a list of frame matrices or as one stack [N x L x D].
+    ``labels`` holds one speaker-label array per domain, clean first; their
+    lengths say where each domain's samples start. Every domain needs at
+    least two samples so the unbiased MMD estimator is defined.
     """
 
-    src_utts: list = field(default_factory=list)
-    src_labels: np.ndarray = None
-    tgt_utts: list = field(default_factory=list)
-    tgt_labels: list = field(default_factory=list)
-    crops: np.ndarray = None
+    utts: list | np.ndarray
+    labels: list
 
     def __post_init__(self):
-        if len(self.src_utts) < 2:
-            raise StructuralError("batch needs at least 2 clean samples")
-        self.src_labels = np.asarray(self.src_labels)
-        if self.src_labels.shape != (len(self.src_utts),):
-            raise StructuralError("clean label count does not match sample count")
-        if len(self.tgt_utts) != len(self.tgt_labels):
-            raise StructuralError("per-domain sample and label lists disagree")
-        if not self.tgt_utts:
+        self.labels = [np.asarray(y) for y in self.labels]
+        if len(self.labels) < 2:
             raise StructuralError("batch covers no target domains")
-        self.tgt_labels = [np.asarray(y) for y in self.tgt_labels]
-        for h, (utts, labels) in enumerate(zip(self.tgt_utts, self.tgt_labels)):
-            if len(utts) < 2:
-                raise StructuralError(f"domain {h} needs at least 2 samples")
-            if labels.shape != (len(utts),):
-                raise StructuralError(f"domain {h} label count does not match sample count")
-        if self.crops is not None and len(self.crops) != len(self.src_utts) + sum(map(len, self.tgt_utts)):
-            raise StructuralError("stacked crops do not match the sample count")
+        for d, labels in enumerate(self.labels):
+            if labels.ndim != 1 or len(labels) < 2:
+                raise StructuralError(f"domain {d} needs at least 2 samples, one label each")
+        if len(self.utts) != sum(map(len, self.labels)):
+            raise StructuralError("label count does not match sample count")
 
     @property
     def num_domains(self) -> int:
-        return len(self.tgt_utts)
+        return len(self.labels) - 1
 
     def validate(self, num_speakers: int, num_domains: int) -> None:
         if self.num_domains != num_domains:
             raise StructuralError(
                 f"batch covers {self.num_domains} domains, model expects {num_domains}"
             )
-        for labels in [self.src_labels, *self.tgt_labels]:
+        for labels in self.labels:
             if labels.size and (labels.min() < 0 or labels.max() >= num_speakers):
                 raise ContractError(f"speaker label outside [0, {num_speakers})")
 
@@ -271,9 +258,10 @@ def total_loss(
 
     ``p`` is training progress in [0, 1]. Pass a dict as ``grads`` to also
     accumulate analytic gradients for every parameter reached by the forward
-    pass. The batch holds the input of trunk group ``down_to_group``: raw
-    frames for 1, the frozen g1-g3 rows of each crop for 4. The trunk runs
-    from that group, and its backward descends to it.
+    pass. The batch's samples, list or stack, go through one ``encode``
+    call, and hold the input of trunk group ``down_to_group``: raw frames
+    for 1, the frozen g1-g3 rows of each crop for 4. The trunk runs from
+    that group, and its backward descends to it.
     """
     if not 0.0 <= p <= 1.0:
         raise ContractError(f"progress must lie in [0, 1], got {p}")
@@ -281,12 +269,9 @@ def total_loss(
     num_domains = batch.num_domains
     mu = progressive_weight(p, steepness)
 
-    # every crop of the step goes through one encode call: clean rows first,
-    # then each target domain's rows in domain order
-    groups = (batch.src_utts, *batch.tgt_utts)
-    cuts = np.cumsum([len(utts) for utts in groups])[:-1]
-    utts = batch.crops if batch.crops is not None else [x for utts in groups for x in utts]
-    embs, enc_cache = model.encode(utts, first_group=down_to_group)
+    # clean rows first, then each target domain's rows in domain order
+    cuts = np.cumsum([len(labels) for labels in batch.labels])[:-1]
+    embs, enc_cache = model.encode(batch.utts, first_group=down_to_group)
     src_embs, *tgt_embs = np.split(embs, cuts)
     src_sub = [model.subnet_forward(src_embs, h) for h in range(num_domains)]
     dis = discrepancy_loss([cache["front"] for _, cache in src_sub])
@@ -297,7 +282,7 @@ def total_loss(
     for h in range(num_domains):
         back, cache = model.subnet_forward(tgt_embs[h], h)
         logits, cls_cache = model.classifier_forward(back, h)
-        ce, dlogits = cross_entropy_grad(logits, batch.tgt_labels[h])
+        ce, dlogits = cross_entropy_grad(logits, batch.labels[h + 1])
         cls_total += ce
         value, dsrc, dtgt = _mmd_eval(src_sub[h][0], back, kernel, bandwidth)
         mmd_vals.append(value)

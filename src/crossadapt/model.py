@@ -23,10 +23,10 @@ distances non-negative.
 The stacks change no bit.  Each crop's rows equal its own product's rows
 wherever a product row's bits do not depend on the other rows, and the
 stack's weight grads are each crop's own product summed over the crops in
-order, as adding them crop by crop did.  ``_stacks_exactly`` checks the row
-fact per group shape, for the forward ``x @ W`` and for the input gradient
-``dpre @ W.T``, and a forward-only pass checks it for ``x @ W``; shapes that
-fail it, and windows under 8 frames, run one by one through the same code.
+order, as adding them crop by crop did.  ``_rows_exact`` checks the row
+fact per group shape, for the forward ``x @ W`` and, in training, for the
+input gradient ``dpre @ W.T``; shapes that fail it, and windows under 8
+frames, run one by one through the same code.
 
 The trunk entry points take the first group to run.  Finetune and adapt
 freeze g1-g3, so they feed g4 with each crop's g3 rows from a
@@ -45,6 +45,7 @@ import functools
 import hashlib
 import io
 import math
+import re
 import struct
 from dataclasses import dataclass
 
@@ -73,6 +74,7 @@ NUM_GROUPS = 4
 FROZEN_GROUPS = 3  # finetune and adapt freeze g1-g3 (set_trainable)
 _ARCH_TENSOR = "arch"
 _ARCH_LEN = 17
+_SUBNET_LAYERS = ("front.0", "front.1", "back.0", "back.1")
 
 
 @dataclass(frozen=True)
@@ -339,10 +341,57 @@ def lde_pool_backward(dout, cache):
 
 # ---------------------------------------------------------------------------
 
-def _he_uniform(rng, fan_in, shape):
-    limit = np.sqrt(6.0 / fan_in)
+def _param_shapes(config: ModelConfig, with_subnets: bool) -> dict:
+    """Every parameter's name and shape, in creation order."""
+    shapes = {}
+
+    def dense(layer, d_in, d_out):
+        shapes[f"{layer}.W"] = (d_in, d_out)
+        shapes[f"{layer}.b"] = (d_out,)
+
+    ex, emb, spk = config.extractor, config.lde.output_dim, config.num_speakers
+    in_dim = ex.input_dim
+    for g, (width, context) in enumerate(zip(ex.group_dims, ex.context)):
+        dense(f"g{g + 1}", (2 * context + 1) * in_dim, width)
+        in_dim = width
+    shapes["lde.dict"] = (config.lde.num_components, config.lde.component_dim)
+    shapes["lde.log_scale"] = (config.lde.num_components,)
+    dense("head", emb, spk)
+    if with_subnets:
+        sn = config.subnet
+        dims = [emb, *sn.front_dims, *sn.back_dims]
+        for layer, d_in, d_out in zip(_SUBNET_LAYERS, dims[:-1], dims[1:]):
+            for h in range(sn.num_domains):
+                dense(f"sub{h}.{layer}", d_in, d_out)
+        for h in range(sn.num_domains):
+            dense(f"cls{h}", sn.embedding_dim, spk)
+    return shapes
+
+
+def _he_uniform(rng, shape):
+    limit = np.sqrt(6.0 / shape[0])
     # quantize to float32 so fresh models round-trip checkpoints bit-exactly
     return rng.uniform(-limit, limit, size=shape).astype(np.float32).astype(np.float64)
+
+
+def _init_missing(params: dict, shapes: dict, seed: int) -> None:
+    """Draw each parameter of ``shapes`` that ``params`` lacks.  A weight
+    comes from its layer's substream, drawn once and copied to every
+    domain's layer; the dictionary is standard normal, the rest zero."""
+    drawn = {}
+    for name, shape in shapes.items():
+        if name in params:
+            continue
+        layer, _, kind = name.rpartition(".")
+        if kind == "W":
+            tag = re.sub(r"^(sub|cls)\d+", r"\1", layer)  # sub2.front.0 -> sub.front.0
+            if tag not in drawn:
+                drawn[tag] = _he_uniform(substream(seed, "init", tag), shape)
+            params[name] = drawn[tag].copy()
+        elif name == "lde.dict":
+            params[name] = substream(seed, "init", "lde").normal(size=shape).astype(np.float32).astype(np.float64)
+        else:
+            params[name] = np.zeros(shape)
 
 
 class Model:
@@ -363,26 +412,8 @@ class Model:
 
     @classmethod
     def create(cls, config: ModelConfig, seed: int, with_subnets: bool = False) -> "Model":
-        params = {}
-        ex = config.extractor
-        in_dim = ex.input_dim
-        for g in range(NUM_GROUPS):
-            name = f"g{g + 1}"
-            fan_in = (2 * ex.context[g] + 1) * in_dim
-            params[f"{name}.W"] = _he_uniform(substream(seed, "init", name), fan_in, (fan_in, ex.group_dims[g]))
-            params[f"{name}.b"] = np.zeros(ex.group_dims[g])
-            in_dim = ex.group_dims[g]
-        k, d = config.lde.num_components, config.lde.component_dim
-        params["lde.dict"] = (
-            substream(seed, "init", "lde").normal(size=(k, d)).astype(np.float32).astype(np.float64)
-        )
-        params["lde.log_scale"] = np.zeros(k)
-        emb = config.lde.output_dim
-        params["head.W"] = _he_uniform(substream(seed, "init", "head"), emb, (emb, config.num_speakers))
-        params["head.b"] = np.zeros(config.num_speakers)
-        model = cls(config, params)
-        if with_subnets:
-            model.ensure_subnets(seed)
+        model = cls(config, {})
+        _init_missing(model.params, _param_shapes(config, with_subnets), seed)
         return model
 
     def ensure_subnets(self, seed: int) -> None:
@@ -393,43 +424,11 @@ class Model:
         early discrepancy/alignment losses are exactly zero rather than noise
         between unrelated random maps.
         """
-        if self.has_subnets:
-            return
-        cfg = self.config.subnet
-        in_dim = self.config.lde.output_dim
-        dims = [in_dim, *cfg.front_dims, *cfg.back_dims]
-        halves = ["front.0", "front.1", "back.0", "back.1"]
-        for layer, (d_in, d_out) in zip(halves, zip(dims[:-1], dims[1:])):
-            rng = substream(seed, "init", f"sub.{layer}")
-            w = _he_uniform(rng, d_in, (d_in, d_out))
-            for h in range(cfg.num_domains):
-                self.params[f"sub{h}.{layer}.W"] = w.copy()
-                self.params[f"sub{h}.{layer}.b"] = np.zeros(d_out)
-        rng = substream(seed, "init", "cls")
-        w = _he_uniform(rng, cfg.embedding_dim, (cfg.embedding_dim, self.config.num_speakers))
-        for h in range(cfg.num_domains):
-            self.params[f"cls{h}.W"] = w.copy()
-            self.params[f"cls{h}.b"] = np.zeros(self.config.num_speakers)
+        _init_missing(self.params, _param_shapes(self.config, True), seed)
 
     @property
     def has_subnets(self) -> bool:
         return "sub0.front.0.W" in self.params
-
-    def group_names(self):
-        names = [f"g{i + 1}" for i in range(NUM_GROUPS)] + ["lde", "head"]
-        if self.has_subnets:
-            for h in range(self.config.subnet.num_domains):
-                names += [f"sub{h}", f"cls{h}"]
-        return names
-
-    def tensors_of_group(self, group: str) -> dict:
-        if group == "lde":
-            return {"lde.dict": self.params["lde.dict"], "lde.log_scale": self.params["lde.log_scale"]}
-        prefix = group + "."
-        found = {n: p for n, p in self.params.items() if n.startswith(prefix)}
-        if not found:
-            raise StructuralError(f"no parameters under group {group}")
-        return found
 
     # -- trunk ------------------------------------------------------------
 
@@ -480,7 +479,7 @@ class Model:
 
         The windows run in stacks of about ``_STACK_ROWS`` rows, one gemm per
         group per stack, when that gives each window's rows exactly: T >= 8
-        and the row fact for every group's ``x @ W`` (``_gemm_rows_exact``).
+        and the row fact for every group's ``x @ W`` (``_rows_exact``).
         Otherwise each window runs alone.  A pass up to g4 goes through
         ``extractor_forward``, the one trunk entry point.  Each output is a
         view of its own stack's output: one block per stack, not one for all
@@ -490,8 +489,7 @@ class Model:
         t = shape[0]
         # a malformed window runs alone, so extractor_forward names its fault
         exact = (len(shape) == 2 and t >= _MIN_GEMM_ROWS and first >= 1
-                 and all(np.shape(x) == shape for x in windows)
-                 and all(_gemm_rows_exact(*self.params[f"g{g}.W"].shape) for g in range(first, last + 1)))
+                 and all(np.shape(x) == shape for x in windows) and _rows_exact(self, first, last))
         per = max(1, _STACK_ROWS // t) if exact else 1
         for i in range(0, len(windows), per):
             x = windows[i] if per == 1 else np.stack(windows[i : i + per])
@@ -532,7 +530,7 @@ class Model:
         are grouped by frame count, and the extractor runs from
         ``first_group`` over each group.  In train mode it runs once per
         group, as one stack, when that gives each window's rows and grads
-        exactly (``_stacks_exactly``), otherwise once per utterance; in eval
+        exactly (``_rows_exact``), otherwise once per utterance; in eval
         mode it runs in stacks of about ``_STACK_ROWS`` rows
         (``_forward_windows``).  Each group is pooled by one stacked
         ``lde_pool`` call; rows come back in input order, and a row's bytes
@@ -547,7 +545,7 @@ class Model:
                 out, windows = np.empty((len(rows), t, self.config.extractor.group_dims[-1])), []
                 for j, h in enumerate(self._forward_windows([utts[i] for i in rows], first_group, NUM_GROUPS)):
                     out[j] = h
-            elif _stacks_exactly(self, int(t), first_group):
+            elif t >= _MIN_GEMM_ROWS and _rows_exact(self, first_group, NUM_GROUPS, backward=True):
                 stack = np.asarray(utts) if len(rows) == len(utts) else np.stack([utts[i] for i in rows])
                 out, ex_cache = self.extractor_forward(stack, mode, first_group)
                 windows = [(slice(None), ex_cache)]
@@ -593,7 +591,7 @@ class Model:
             raise ContractError(f"unknown subnet stage {stage!r}")
         h = np.atleast_2d(np.asarray(emb, dtype=np.float64))
         steps = []
-        for i, layer in enumerate(("front.0", "front.1", "back.0", "back.1")):
+        for i, layer in enumerate(_SUBNET_LAYERS):
             name = f"sub{domain}.{layer}"
             pre, af_cache = affine_forward(h, self.params[f"{name}.W"], self.params[f"{name}.b"])
             h, relu_cache = (pre, None) if i == 3 else relu_forward(pre)
@@ -624,31 +622,32 @@ class Model:
             _accum(grads, f"{layer}.b", db)
         return dh
 
+    def _dense_forward(self, layer: str, emb):
+        emb = np.atleast_2d(np.asarray(emb, dtype=np.float64))
+        logits, af_cache = affine_forward(emb, self.params[f"{layer}.W"], self.params[f"{layer}.b"])
+        return logits, (layer, af_cache)
+
+    def _dense_backward(self, dlogits, cache, grads):
+        layer, af_cache = cache
+        demb, dw, db = affine_backward(np.atleast_2d(dlogits), af_cache)
+        _accum(grads, f"{layer}.W", dw)
+        _accum(grads, f"{layer}.b", db)
+        return demb
+
     def classifier_forward(self, emb, domain: int):
         """Affine map from domain embedding space to speaker logits."""
         self._check_domain(domain)
-        emb = np.atleast_2d(np.asarray(emb, dtype=np.float64))
-        logits, af_cache = affine_forward(emb, self.params[f"cls{domain}.W"], self.params[f"cls{domain}.b"])
-        return logits, (domain, af_cache)
+        return self._dense_forward(f"cls{domain}", emb)
 
     def classifier_backward(self, dlogits, cache, grads):
-        domain, af_cache = cache
-        demb, dw, db = affine_backward(np.atleast_2d(dlogits), af_cache)
-        _accum(grads, f"cls{domain}.W", dw)
-        _accum(grads, f"cls{domain}.b", db)
-        return demb
+        return self._dense_backward(dlogits, cache, grads)
 
     def head_forward(self, emb):
         """Shared softmax head used by the pretrain and fine-tune stages."""
-        emb = np.atleast_2d(np.asarray(emb, dtype=np.float64))
-        logits, af_cache = affine_forward(emb, self.params["head.W"], self.params["head.b"])
-        return logits, af_cache
+        return self._dense_forward("head", emb)
 
     def head_backward(self, dlogits, cache, grads):
-        demb, dw, db = affine_backward(np.atleast_2d(dlogits), cache)
-        _accum(grads, "head.W", dw)
-        _accum(grads, "head.b", db)
-        return demb
+        return self._dense_backward(dlogits, cache, grads)
 
 
 def _accum(grads: dict, name: str, value) -> None:
@@ -668,14 +667,7 @@ _MIN_GEMM_ROWS = 8
 _SMALL_GEMM_MACS = 10**6
 
 
-# rows per stack of a forward-only trunk pass, so that a group's spliced
-# input and output stay in L2.  On a 2-core Xeon (2 MB L2 per core) with one
-# BLAS thread, stacks of 300-500 rows were fastest (best of interleaved
-# repeats, default shapes): g1-g3 over 104 crops of 60 frames took 4.8 ms
-# crop by crop, 3.1-3.3 ms in stacks of 5-9 crops and 9.7 ms as one stack;
-# over 560 utterances of 100 frames 44 ms one by one, 32-33 ms in stacks
-# of 4-5 and 88 ms in stacks of 20; g1-g4 over 192 utterances of 200
-# frames 23.0 ms one by one, 21.7 ms in stacks of 2 and 54 ms in stacks of 5
+# rows per stack of a forward-only trunk pass: a group's input and output stay in L2
 _STACK_ROWS = 512
 
 
@@ -688,10 +680,8 @@ def _gemm_rows_exact(k: int, n: int, transposed: bool = False) -> bool:
     kernels.  Kernels take rows in blocks of at most 16, so every row count
     8..23 at 16 offsets meets every block tail; each slice is checked
     against a 40-row product and against one of over 10^6 multiply-adds,
-    which leaves the small-matrix kernels.  Some shapes fail: with OpenBLAS
-    0.3.31 on x86-64, the last m % 4 rows differ when n % 8 is 1, 2 or 3
-    and k >= 16, and a small product's rows differ from a large one's when
-    n % 8 is 4 and k >= 16."""
+    which leaves the small-matrix kernels.  Some shapes fail, so each one
+    is probed (tests/test_blas_rows.py pins the known ones)."""
     rng = np.random.default_rng(0)
     # rows past 40 only make the large product large; zeros cost no draws
     x = np.zeros((max(40, _SMALL_GEMM_MACS // (k * n) + 24), k))
@@ -707,20 +697,18 @@ def _gemm_rows_exact(k: int, n: int, transposed: bool = False) -> bool:
     return True
 
 
-def _stacks_exactly(model: Model, t: int, first_group: int) -> bool:
-    """Whether windows of ``t`` frames can go through groups
-    ``first_group``..4 as one stack, forward and backward, with every
-    window's rows and grads bit-equal to running it alone.  That needs
-    t >= 8, the row fact for each forward ``x @ W`` and each input-gradient
-    ``dpre @ W.T`` the backward computes, and groups at least 2 wide: numpy
-    sums a one-wide grad over the windows pairwise, not in order."""
-    if t < _MIN_GEMM_ROWS:
-        return False
-    for g in range(first_group - 1, NUM_GROUPS):
-        k, n = model.params[f"g{g + 1}.W"].shape
-        if n < 2 or not _gemm_rows_exact(k, n):
+def _rows_exact(model: Model, first: int, last: int, backward: bool = False) -> bool:
+    """Whether windows of at least 8 frames can go through groups
+    ``first``..``last`` as one stack with every window's rows bit-equal to
+    running it alone.  That needs the row fact for each forward ``x @ W``;
+    with ``backward``, also for each input gradient ``dpre @ W.T`` the
+    backward computes, and groups at least 2 wide, since numpy sums a
+    one-wide grad over the windows pairwise, not in order."""
+    for g in range(first, last + 1):
+        k, n = model.params[f"g{g}.W"].shape
+        if not _gemm_rows_exact(k, n):
             return False
-        if g >= first_group and not _gemm_rows_exact(n, k, transposed=True):
+        if backward and (n < 2 or (g > first and not _gemm_rows_exact(n, k, transposed=True))):
             return False
     return True
 
@@ -751,8 +739,7 @@ class FrozenPrefix:
         depend on their product, builds no table."""
         self.model = model
         self.halo = sum(model.config.extractor.context[:FROZEN_GROUPS])
-        if utterances and not all(_gemm_rows_exact(*model.params[f"g{g + 1}.W"].shape)
-                                  for g in range(FROZEN_GROUPS)):
+        if utterances and not _rows_exact(model, 1, FROZEN_GROUPS):
             utterances = {}
         by_length = {}
         for u, x in utterances.items():
@@ -800,19 +787,19 @@ def set_trainable(model: Model, stage: str):
         raise ContractError(f"unknown stage {stage!r}")
     if stage == "adapt" and not model.has_subnets:
         raise StructuralError("adapt stage requires materialized subnets")
+    lower = {f"g{g + 1}" for g in range(FROZEN_GROUPS)}
+    tensors = {}
+    for name in _param_shapes(model.config, model.has_subnets):
+        tensors.setdefault(name.split(".")[0], {})[name] = model.params[name]
     groups = []
-    for name in model.group_names():
-        tensors = model.tensors_of_group(name)
-        frozen = False
-        mult = 1.0
+    for group, members in tensors.items():
+        fresh = group.startswith(("sub", "cls"))
         if stage == "finetune":
-            frozen = name not in ("g4", "lde", "head")
-        elif stage == "adapt":
-            if name in ("g1", "g2", "g3", "head"):
-                frozen = True
-            elif name.startswith(("sub", "cls")):
-                mult = 10.0
-        groups.append(ParamGroup(name, tensors, lr_multiplier=mult, frozen=frozen))
+            frozen = group in lower or fresh
+        else:
+            frozen = stage == "adapt" and (group in lower or group == "head")
+        mult = 10.0 if fresh and stage == "adapt" else 1.0
+        groups.append(ParamGroup(group, members, lr_multiplier=mult, frozen=frozen))
     return groups
 
 
@@ -897,27 +884,13 @@ def load_checkpoint(path):
     if config.fingerprint() != stored_fp:
         raise FingerprintMismatchError("checkpoint fingerprint does not match its stored architecture")
     model = Model(config, tensors)
-    _validate_param_names(model)
-    return model, CheckpointMeta(STAGES[stage_byte], step, stored_fp)
-
-
-def _expected_param_names(config: ModelConfig, with_subnets: bool) -> set:
-    names = set()
-    for g in range(NUM_GROUPS):
-        names |= {f"g{g + 1}.W", f"g{g + 1}.b"}
-    names |= {"lde.dict", "lde.log_scale", "head.W", "head.b"}
-    if with_subnets:
-        for h in range(config.subnet.num_domains):
-            for layer in ("front.0", "front.1", "back.0", "back.1"):
-                names |= {f"sub{h}.{layer}.W", f"sub{h}.{layer}.b"}
-            names |= {f"cls{h}.W", f"cls{h}.b"}
-    return names
-
-
-def _validate_param_names(model: Model) -> None:
-    have = set(model.params)
-    expected = _expected_param_names(model.config, model.has_subnets)
+    expected = _param_shapes(config, model.has_subnets)
+    have = {name: arr.shape for name, arr in tensors.items()}
     if have != expected:
-        missing = sorted(expected - have)
-        extra = sorted(have - expected)
-        raise FileFormatError(f"checkpoint parameter set malformed; missing={missing} extra={extra}")
+        missing = sorted(expected.keys() - have.keys())
+        extra = sorted(have.keys() - expected.keys())
+        misshapen = sorted(n for n in expected.keys() & have.keys() if have[n] != expected[n])
+        raise FileFormatError(
+            f"checkpoint parameter set malformed; missing={missing} extra={extra} misshapen={misshapen}"
+        )
+    return model, CheckpointMeta(STAGES[stage_byte], step, stored_fp)

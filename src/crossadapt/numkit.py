@@ -80,8 +80,6 @@ def adam_step(
     grads,
     state: OptimState,
     base_lr: float,
-    betas=ADAM_BETAS,
-    eps: float = ADAM_EPS,
     weight_decay: float = WEIGHT_DECAY,
 ) -> None:
     """Apply one AMSGrad update in place to every unfrozen group.
@@ -114,7 +112,7 @@ def adam_step(
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for tensor {name}")
 
-    beta1, beta2 = betas
+    beta1, beta2 = ADAM_BETAS
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
@@ -138,7 +136,7 @@ def adam_step(
             v *= beta2
             v += (1.0 - beta2) * (g * g)
             np.maximum(state.vhat[name], v, out=state.vhat[name])
-            denom = np.sqrt(state.vhat[name] / bc2) + eps
+            denom = np.sqrt(state.vhat[name] / bc2) + ADAM_EPS
             param -= lr * (m / bc1) / denom
 
 

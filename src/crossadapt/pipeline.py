@@ -139,10 +139,7 @@ def sample_batches(domain_records, store, rng, cfg: StageConfig, prefix=None) ->
             raise ContractError(f"domain {d} train split is empty")
     draws = [_draw(records, store, rng, n, cfg.crop_frames)
              for records, n in zip(domain_records, _draw_sizes(cfg, len(domain_records)))]
-    crops = _inputs(draws, prefix)
-    src, *tgt = np.split(crops, np.cumsum([len(labels) for _, _, labels in draws])[:-1])
-    src_labels, *tgt_labels = [labels for _, _, labels in draws]
-    return DomainBatch(src, src_labels, tgt, tgt_labels, crops)
+    return DomainBatch(_inputs(draws, prefix), [labels for _, _, labels in draws])
 
 
 def _draw_sizes(cfg: StageConfig, draws: int):

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from crossadapt.corpus import CorpusConfig
 from crossadapt.model import ExtractorConfig, LdeConfig, Model, ModelConfig, SubnetConfig
 
 
@@ -15,6 +16,15 @@ def micro_config(input_dim=4, width=4, context=(0, 1, 0, 0), num_domains=2, num_
         subnet=SubnetConfig(front_dims=(5, 4), back_dims=(4, 3), num_domains=num_domains),
         num_speakers=num_speakers,
     )
+
+
+def recipe(num_speakers, utts_per_speaker, frames_per_utt, domains, input_dim=20, identity_dim=16,
+           id_scale=1.0, sess_scale=0.2, frame_sd=0.5, ar_rho=0.7):
+    """A corpus recipe for ``gen_corpus``.  The defaults are the constants
+    the unit tests' small corpora have always been generated with; the CLI
+    and the acceptance chains take theirs from ``config.SCHEMA``."""
+    return CorpusConfig(num_speakers, utts_per_speaker, frames_per_utt, input_dim, identity_dim,
+                        id_scale, sess_scale, frame_sd, ar_rho, tuple(domains))
 
 
 def default_like_config():

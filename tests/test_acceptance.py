@@ -91,12 +91,10 @@ def _random_batch(rng, model):
 
     n_src = int(rng.integers(2, 4))
     n_tgt = [int(rng.integers(2, 4)) for _ in range(model.config.subnet.num_domains)]
-    return DomainBatch(
-        src_utts=utts(n_src),
-        src_labels=rng.integers(0, spk, size=n_src),
-        tgt_utts=[utts(n) for n in n_tgt],
-        tgt_labels=[rng.integers(0, spk, size=n) for n in n_tgt],
-    )
+    # the draws run clean samples, clean labels, target samples, target labels
+    src, src_labels = utts(n_src), rng.integers(0, spk, size=n_src)
+    tgt = [x for n in n_tgt for x in utts(n)]
+    return DomainBatch(src + tgt, [src_labels] + [rng.integers(0, spk, size=n) for n in n_tgt])
 
 
 _KIND_CYCLE = ("g1.", "g2.", "g3.", "g4.", "lde.dict", "lde.log_scale", "sub", "cls")
@@ -405,20 +403,12 @@ def _small_raw():
     }
 
 
-def _generate(cfg, out_dir):
-    c = cfg.corpus
-    return gen_corpus(out_dir, cfg.seed, c.num_speakers, c.utts_per_speaker,
-                      c.frames_per_utt, list(c.domains), input_dim=c.input_dim,
-                      identity_dim=c.identity_dim, id_scale=c.id_scale,
-                      sess_scale=c.sess_scale, frame_sd=c.frame_sd, ar_rho=c.ar_rho)
-
-
 @pytest.fixture(scope="module")
 def small_chain(tmp_path_factory):
     root = tmp_path_factory.mktemp("acceptance_chain")
     cfg = build_config(_small_raw())
     corpus_dir = root / "corpus"
-    _generate(cfg, corpus_dir)
+    gen_corpus(corpus_dir, cfg.seed, cfg.corpus)
     pre, ft, ad = root / "pre.ckpt", root / "ft.ckpt", root / "ad.ckpt"
     pretrain(corpus_dir, cfg, pre)
     finetune(pre, corpus_dir, cfg, ft)
@@ -485,7 +475,7 @@ class TestCriterion7Directional:
             cfg = build_config({"seed": seed})
             work = tmp_path / f"seed{seed}"
             corpus_dir = work / "corpus"
-            manifest = _generate(cfg, corpus_dir)
+            manifest = gen_corpus(corpus_dir, cfg.seed, cfg.corpus)
             pre, ft, ad = work / "pre.ckpt", work / "ft.ckpt", work / "ad.ckpt"
             pretrain(corpus_dir, cfg, pre)
             finetune(pre, corpus_dir, cfg, ft)

@@ -18,6 +18,7 @@ import crossadapt
 from crossadapt import cli, pipeline
 from crossadapt.cli import main
 from crossadapt.evaluation import read_report
+from crossadapt.model import load_checkpoint, save_checkpoint
 from conftest import set_arch_entry
 
 SRC = str(Path(crossadapt.__file__).resolve().parent.parent)
@@ -186,6 +187,21 @@ class TestExitCodes:
         rc = main(["-q", "evaluate", "--ckpt", str(bogus), "--corpus", str(env["corpus"]),
                    "--out", str(tmp_path / "r.report")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["evaluate", "finetune"])
+    def test_misshapen_tensor_exits_2(self, env, tmp_path, command):
+        """A tensor whose shape disagrees with the architecture record ended
+        in a ``ValueError`` traceback once the trunk ran."""
+        model, _ = load_checkpoint(env["pre"])
+        model.params["g2.W"] = np.zeros((model.params["g2.W"].shape[0], 7))  # g2 is 6 wide
+        bogus = tmp_path / "shape.ckpt"
+        save_checkpoint(bogus, model, "pretrain", 6)
+        out = str(tmp_path / "out")
+        argv = {"evaluate": ["evaluate", "--ckpt", str(bogus), "--corpus", str(env["corpus"]), "--out", out],
+                "finetune": ["finetune", "--config", str(env["config"]), "--init", str(bogus),
+                             "--corpus", str(env["corpus"]), "--out", out]}[command]
+        assert main(["-q", *argv]) == 2
+        assert not Path(out).exists()
 
     def test_unknown_domain(self, env, tmp_path):
         rc = main(["-q", "evaluate", "--ckpt", str(env["ft"]), "--corpus", str(env["corpus"]),

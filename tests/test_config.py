@@ -1,5 +1,8 @@
 """Config loading, merging, and override tests."""
 
+import dataclasses
+import inspect
+
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from crossadapt.cli import main
 from crossadapt.config import SCHEMA, apply_overrides, build_config, load_config
+from crossadapt.corpus import CorpusConfig, gen_corpus
 from crossadapt.errors import ContractError
 
 
@@ -28,6 +32,14 @@ class TestDefaults:
     def test_stage_seeds_inherit_app_seed(self):
         cfg = load_config(seed=42)
         assert (cfg.pretrain.seed, cfg.finetune.seed, cfg.adapt.seed) == (42, 42, 42)
+
+    def test_corpus_recipe_defaults_live_only_in_the_schema(self):
+        """Every recipe field is a ``corpus.*`` key and back, and
+        ``gen_corpus`` has no default of its own to disagree with them."""
+        keys = {key.split(".", 1)[1] for key in SCHEMA if key.startswith("corpus.")}
+        assert {f.name for f in dataclasses.fields(CorpusConfig)} == keys
+        params = inspect.signature(gen_corpus).parameters.values()
+        assert all(p.default is inspect.Parameter.empty for p in params)
 
 
 class TestFileAndOverrides:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from crossadapt import corpus, evaluation
 from crossadapt.cli import main
+from crossadapt.config import load_config
 from crossadapt.corpus import (
     CorpusManifest,
     DomainSpec,
@@ -39,7 +40,7 @@ from crossadapt.rng import substream
 from crossadapt.model import Model
 from crossadapt.rng import substream
 
-from conftest import jitter_params, micro_config
+from conftest import jitter_params, micro_config, recipe
 
 
 def small_domains(dim=6):
@@ -245,8 +246,8 @@ class TestSplits:
 
 class TestGenCorpus:
     def test_counts_and_parallel_structure(self, tmp_path):
-        man = gen_corpus(tmp_path, seed=7, num_speakers=4, utts_per_speaker=5,
-                         frames_per_utt=6, domains=small_domains(), input_dim=6)
+        man = gen_corpus(tmp_path, 7, recipe(num_speakers=4, utts_per_speaker=5,
+                                             frames_per_utt=6, domains=small_domains(), input_dim=6))
         assert len(man.records) == 4 * 5 * 3
         assert man.num_domains == 3
         clean = {r.utt_id[:-3]: r for r in man.select(domain_id=0)}
@@ -257,10 +258,10 @@ class TestGenCorpus:
             assert (mate.speaker_id, mate.split, mate.frames) == (r.speaker_id, r.split, r.frames)
 
     def test_regeneration_is_byte_identical(self, tmp_path):
-        kw = dict(seed=3, num_speakers=3, utts_per_speaker=4, frames_per_utt=5,
+        kw = dict(num_speakers=3, utts_per_speaker=4, frames_per_utt=5,
                   domains=small_domains(), input_dim=6)
-        gen_corpus(tmp_path / "a", **kw)
-        gen_corpus(tmp_path / "b", **kw)
+        gen_corpus(tmp_path / "a", 3, recipe(**kw))
+        gen_corpus(tmp_path / "b", 3, recipe(**kw))
         files_a = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*") if p.is_file())
         files_b = sorted(p.relative_to(tmp_path / "b") for p in (tmp_path / "b").rglob("*") if p.is_file())
         assert files_a == files_b
@@ -276,13 +277,14 @@ class TestGenCorpus:
             return substream(seed, *names)
 
         monkeypatch.setattr(corpus, "substream", spy)
-        gen_corpus(tmp_path, seed=3, num_speakers=3, utts_per_speaker=4, frames_per_utt=5,
-                   domains=small_domains() + [DomainSpec("farfield", smear_width=2)], input_dim=6)
+        domains = small_domains() + [DomainSpec("farfield", smear_width=2)]
+        gen_corpus(tmp_path, 3, recipe(num_speakers=3, utts_per_speaker=4, frames_per_utt=5,
+                                       domains=domains, input_dim=6))
         assert tags.count("noise") == 3 * 4  # one noisy domain of four
 
     def test_speaker_structure_in_clean_features(self, tmp_path):
-        man = gen_corpus(tmp_path, seed=5, num_speakers=5, utts_per_speaker=6,
-                         frames_per_utt=20, domains=[DomainSpec("clean")], input_dim=8)
+        man = gen_corpus(tmp_path, 5, recipe(num_speakers=5, utts_per_speaker=6,
+                                             frames_per_utt=20, domains=[DomainSpec("clean")], input_dim=8))
         means, spk = [], []
         for r in man.select(domain_id=0):
             means.append(read_features(tmp_path / r.relpath).mean(axis=0))
@@ -297,8 +299,8 @@ class TestGenCorpus:
         assert np.mean(same) > np.mean(cross)
 
     def test_noise_spreads_within_speaker_features(self, tmp_path):
-        man = gen_corpus(tmp_path, seed=9, num_speakers=3, utts_per_speaker=5,
-                         frames_per_utt=12, domains=small_domains(), input_dim=6)
+        man = gen_corpus(tmp_path, 9, recipe(num_speakers=3, utts_per_speaker=5,
+                                             frames_per_utt=12, domains=small_domains(), input_dim=6))
 
         def within_speaker_spread(domain_id):
             dists = []
@@ -312,17 +314,30 @@ class TestGenCorpus:
 
         assert within_speaker_spread(2) > within_speaker_spread(0)
 
+    def test_python_api_writes_the_cli_corpus(self, tmp_path):
+        """``gen_corpus`` with a loaded config's recipe writes the bytes
+        ``crossadapt gen-corpus`` writes from the same overrides and seed."""
+        sets = ["corpus.num_speakers=3", "corpus.utts_per_speaker=4", "corpus.frames_per_utt=8"]
+        cfg = load_config(sets=sets, seed=7)
+        gen_corpus(tmp_path / "api", cfg.seed, cfg.corpus)
+        argv = [f"--set={s}" for s in sets]
+        assert main(["-q", "gen-corpus", *argv, "--seed", "7", "--out", str(tmp_path / "cli")]) == 0
+        files = sorted(p.relative_to(tmp_path / "cli") for p in (tmp_path / "cli").rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(tmp_path / "api") for p in (tmp_path / "api").rglob("*") if p.is_file())
+        for rel in files:
+            assert (tmp_path / "api" / rel).read_bytes() == (tmp_path / "cli" / rel).read_bytes(), rel
+
     def test_first_domain_must_be_clean(self, tmp_path):
         with pytest.raises(ContractError):
-            gen_corpus(tmp_path, 1, 2, 2, 4, [DomainSpec("noisy", snr_db=3.0)], input_dim=4)
+            gen_corpus(tmp_path, 1, recipe(2, 2, 4, [DomainSpec("noisy", snr_db=3.0)], input_dim=4))
 
     def test_needs_two_speakers(self, tmp_path):
         with pytest.raises(ContractError):
-            gen_corpus(tmp_path, 1, 1, 2, 4, [DomainSpec("clean")], input_dim=4)
+            gen_corpus(tmp_path, 1, recipe(1, 2, 4, [DomainSpec("clean")], input_dim=4))
 
     def test_manifest_round_trip(self, tmp_path):
-        man = gen_corpus(tmp_path, seed=2, num_speakers=3, utts_per_speaker=4,
-                         frames_per_utt=5, domains=small_domains(), input_dim=6)
+        man = gen_corpus(tmp_path, 2, recipe(num_speakers=3, utts_per_speaker=4,
+                                             frames_per_utt=5, domains=small_domains(), input_dim=6))
         back = CorpusManifest.load(tmp_path / "manifest.tsv")
         assert back == man
         back.verify_files(tmp_path)
@@ -334,8 +349,8 @@ class TestGenCorpus:
             CorpusManifest.load(path)
 
     def test_verify_files_catches_missing_and_mismatch(self, tmp_path, rng):
-        man = gen_corpus(tmp_path, seed=2, num_speakers=2, utts_per_speaker=3,
-                         frames_per_utt=5, domains=[DomainSpec("clean")], input_dim=6)
+        man = gen_corpus(tmp_path, 2, recipe(num_speakers=2, utts_per_speaker=3,
+                                             frames_per_utt=5, domains=[DomainSpec("clean")], input_dim=6))
         victim = tmp_path / man.records[0].relpath
         write_features(victim, rng.normal(size=(9, 6)))
         with pytest.raises(StructuralError):
@@ -461,9 +476,9 @@ class TestInterruptedGeneration:
     def test_no_manifest_survives_a_failed_rewrite(self, tmp_path, monkeypatch):
         """A rewrite that dies after some feature files leaves no manifest, so
         no stage loads the mixed corpus."""
-        kw = dict(seed=3, num_speakers=3, utts_per_speaker=10, frames_per_utt=20,
+        kw = dict(num_speakers=3, utts_per_speaker=10, frames_per_utt=20,
                   domains=small_domains(), input_dim=6)
-        gen_corpus(tmp_path / "c", **kw)
+        gen_corpus(tmp_path / "c", 3, recipe(**kw))
         assert (tmp_path / "c" / "manifest.tsv").is_file()
         write = corpus.write_features
         calls = []
@@ -476,7 +491,7 @@ class TestInterruptedGeneration:
 
         monkeypatch.setattr(corpus, "write_features", failing)
         with pytest.raises(OSError):
-            gen_corpus(tmp_path / "c", **{**kw, "seed": 4})
+            gen_corpus(tmp_path / "c", 4, recipe(**kw))
         assert len(calls) == 7
         assert not (tmp_path / "c" / "manifest.tsv").exists()
         assert main(["-q", "pretrain", "--corpus", str(tmp_path / "c"), "--out", str(tmp_path / "p.ckpt")]) == 2
@@ -487,8 +502,8 @@ class TestTrials:
     """Trial counts and order, seen through ``evaluate_domain``."""
 
     def make(self, tmp_path, utts=10, speakers=2):
-        return gen_corpus(tmp_path, seed=4, num_speakers=speakers, utts_per_speaker=utts,
-                          frames_per_utt=4, domains=small_domains(), input_dim=6)
+        return gen_corpus(tmp_path, 4, recipe(num_speakers=speakers, utts_per_speaker=utts,
+                                              frames_per_utt=4, domains=small_domains(), input_dim=6))
 
     def model(self, speakers=2):
         return jitter_params(Model.create(micro_config(input_dim=6, num_speakers=speakers), seed=5))

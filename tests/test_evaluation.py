@@ -32,7 +32,7 @@ from crossadapt.evaluation import (
 )
 from crossadapt.model import STAGES, Model, lde_pool
 
-from conftest import default_like_config, jitter_params, micro_config
+from conftest import default_like_config, jitter_params, micro_config, recipe
 
 
 def records_from(targets, nontargets):
@@ -357,8 +357,8 @@ class TestEvaluateDomain:
             DomainSpec("channel", channel_gain=(0.6, 1.4, 0.8, 1.2)),
             DomainSpec("noisy", snr_db=3.0),
         ]
-        man = gen_corpus(tmp_path, seed=6, num_speakers=3, utts_per_speaker=10,
-                         frames_per_utt=6, domains=domains, input_dim=4)
+        man = gen_corpus(tmp_path, 6, recipe(num_speakers=3, utts_per_speaker=10,
+                                             frames_per_utt=6, domains=domains, input_dim=4))
         return man, tmp_path
 
     def test_counts_and_determinism(self, corpus, generic_model):
@@ -475,8 +475,8 @@ def micro_corpus(tmp_path_factory):
     def get(speakers, utts, copies):
         if (speakers, utts, copies) not in cache:
             root = tmp_path_factory.mktemp("micro")
-            man = gen_corpus(root, seed=7, num_speakers=speakers, utts_per_speaker=utts,
-                             frames_per_utt=5, domains=domains, input_dim=4)
+            man = gen_corpus(root, 7, recipe(num_speakers=speakers, utts_per_speaker=utts,
+                                             frames_per_utt=5, domains=domains, input_dim=4))
             for r in man.select(split="test") if copies else []:
                 if r.speaker_id > 0:
                     shutil.copyfile(root / r.relpath.replace(f"s{r.speaker_id:03d}_", "s000_"),

@@ -25,51 +25,58 @@ from conftest import micro_config
 from gradcheck import grad_check
 
 
+def by_domain(batch):
+    """Each domain's samples of ``batch``, clean first."""
+    ends = np.cumsum([len(labels) for labels in batch.labels])
+    return [batch.utts[start:end] for start, end in zip([0, *ends[:-1]], ends)]
+
+
 def brute_cls(batch, model):
     """Summed per-domain classifier cross-entropy, one utterance at a time."""
     total = 0.0
     for h in range(batch.num_domains):
         logits = []
-        for x in batch.tgt_utts[h]:
+        for x in by_domain(batch)[h + 1]:
             emb, _ = model.encode([x])
             back, _ = model.subnet_forward(emb, h)
             logits.append(model.classifier_forward(back, h)[0][0])
-        total += cross_entropy_grad(np.array(logits), batch.tgt_labels[h])[0]
+        total += cross_entropy_grad(np.array(logits), batch.labels[h + 1])[0]
     return total
 
 
 def make_batch(rng, input_dim=4, num_domains=2, n_src=3, n_tgt=3, frames=4, num_speakers=3):
     src = [rng.normal(size=(frames, input_dim)) for _ in range(n_src)]
     src_y = rng.integers(0, num_speakers, size=n_src)
-    tgts = [[rng.normal(size=(frames, input_dim)) for _ in range(n_tgt)] for _ in range(num_domains)]
+    tgts = [rng.normal(size=(frames, input_dim)) for _ in range(n_tgt * num_domains)]
     tgt_y = [rng.integers(0, num_speakers, size=n_tgt) for _ in range(num_domains)]
-    return DomainBatch(src, src_y, tgts, tgt_y)
+    return DomainBatch(src + tgts, [src_y, *tgt_y])
 
 
 class TestDomainBatch:
     def test_single_clean_sample_rejected(self, rng):
         with pytest.raises(StructuralError):
-            DomainBatch([rng.normal(size=(3, 4))], [0], [[rng.normal(size=(3, 4))] * 2], [[0, 1]])
+            DomainBatch([rng.normal(size=(3, 4))] * 3, [[0], [0, 1]])
 
     def test_single_target_sample_rejected(self, rng):
-        src = [rng.normal(size=(3, 4))] * 2
         with pytest.raises(StructuralError):
-            DomainBatch(src, [0, 1], [[rng.normal(size=(3, 4))]], [[0]])
+            DomainBatch([rng.normal(size=(3, 4))] * 3, [[0, 1], [0]])
 
     def test_label_count_mismatch_rejected(self, rng):
-        src = [rng.normal(size=(3, 4))] * 2
         with pytest.raises(StructuralError):
-            DomainBatch(src, [0], [[rng.normal(size=(3, 4))] * 2], [[0, 1]])
+            DomainBatch([rng.normal(size=(3, 4))] * 4, [[0, 1, 2], [0, 1]])
+
+    def test_no_target_domain_rejected(self, rng):
+        with pytest.raises(StructuralError):
+            DomainBatch([rng.normal(size=(3, 4))] * 2, [[0, 1]])
 
     def test_crop_stack_of_another_size_rejected(self, rng):
         batch = make_batch(rng)
         with pytest.raises(StructuralError):
-            DomainBatch(batch.src_utts, batch.src_labels, batch.tgt_utts, batch.tgt_labels,
-                        np.stack(batch.src_utts))
+            DomainBatch(np.stack(batch.utts[:3]), batch.labels)
 
     def test_out_of_range_label_rejected(self, rng):
         batch = make_batch(rng, num_speakers=3)
-        batch.tgt_labels[0][0] = 7
+        batch.labels[1][0] = 7
         with pytest.raises(ContractError):
             batch.validate(num_speakers=3, num_domains=2)
 
@@ -280,9 +287,10 @@ class TestComposite:
         batch = make_batch(rng)
         total = total_loss(batch, micro_model, p=0.5, kernel="linear").mmd
         brute = 0.0
-        src = np.vstack([micro_model.encode([x])[0] for x in batch.src_utts])
+        src_utts, *tgt_utts = by_domain(batch)
+        src = np.vstack([micro_model.encode([x])[0] for x in src_utts])
         for h in range(2):
-            tgt = np.vstack([micro_model.encode([x])[0] for x in batch.tgt_utts[h]])
+            tgt = np.vstack([micro_model.encode([x])[0] for x in tgt_utts[h]])
             sb, _ = micro_model.subnet_forward(src, h)
             tb, _ = micro_model.subnet_forward(tgt, h)
             brute += mmd_pair(sb, tb, "linear")
@@ -302,7 +310,7 @@ class TestComposite:
         for name in list(micro_model.params):
             if name.startswith("sub0."):
                 micro_model.params[name.replace("sub0.", "sub1.")][:] = micro_model.params[name]
-        batch = DomainBatch(src, labels, [[x.copy() for x in src]] * 2, [labels] * 2)
+        batch = DomainBatch(src + [x.copy() for x in src] * 2, [labels] * 3)
         out = total_loss(batch, micro_model, p=0.7, kernel=kernel, bandwidth=1.0)
         assert out.dis == 0.0
         assert abs(out.mmd) < 1e-9
@@ -312,8 +320,7 @@ class TestComposite:
         """A batch that carries its samples as one stack, as the adapt stage
         builds it, has the loss and grads of the same batch as lists."""
         batch = make_batch(rng, frames=9)
-        crops = np.stack([*batch.src_utts, *(x for utts in batch.tgt_utts for x in utts)])
-        stacked = DomainBatch(batch.src_utts, batch.src_labels, batch.tgt_utts, batch.tgt_labels, crops)
+        stacked = DomainBatch(np.stack(batch.utts), batch.labels)
         grads, stacked_grads = {}, {}
         out = total_loss(batch, micro_model, p=0.6, grads=grads)
         assert total_loss(stacked, micro_model, p=0.6, grads=stacked_grads) == out

@@ -777,6 +777,17 @@ class TestCheckpoints:
         with pytest.raises(FingerprintMismatchError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("name,shape", [("g2.W", (12, 5)), ("g2.W", (4, 12)), ("head.b", (4,)),
+                                            ("lde.dict", (8,)), ("sub1.back.0.W", (4, 5)), ("cls0.b", (3, 1))])
+    def test_misshapen_tensor_rejected(self, micro_model, tmp_path, name, shape):
+        """Names are not enough: every tensor must have the shape the
+        architecture record gives it."""
+        micro_model.params[name] = np.zeros(shape)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, micro_model, "adapt", 1)
+        with pytest.raises(FileFormatError, match=f"misshapen=\\['{name}'\\]"):
+            load_checkpoint(path)
+
     def test_trailing_garbage_rejected(self, micro_model, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, micro_model, "pretrain", 1)

@@ -33,6 +33,8 @@ from crossadapt.pipeline import (
 )
 from crossadapt.rng import substream
 
+from conftest import recipe
+
 
 def tiny_raw():
     return {
@@ -67,11 +69,8 @@ def chain(tmp_path_factory):
     """One tiny corpus plus the full checkpoint chain, shared by this module."""
     root = tmp_path_factory.mktemp("chain")
     cfg = build_config(tiny_raw())
-    c = cfg.corpus
     corpus_dir = root / "corpus"
-    gen_corpus(corpus_dir, cfg.seed, c.num_speakers, c.utts_per_speaker, c.frames_per_utt,
-               list(c.domains), input_dim=c.input_dim, identity_dim=c.identity_dim,
-               id_scale=c.id_scale, sess_scale=c.sess_scale, frame_sd=c.frame_sd, ar_rho=c.ar_rho)
+    gen_corpus(corpus_dir, cfg.seed, cfg.corpus)
     pre = root / "pre.ckpt"
     ft = root / "ft.ckpt"
     ad = root / "ad.ckpt"
@@ -136,11 +135,9 @@ class TestSampling:
         store = load_feature_store(manifest, chain["corpus"], "adapt")
         records = pipeline._sampled_records(manifest, "adapt")
         batch = sample_batches(records, store, substream(5, "y"), cfg.adapt)
-        assert len(batch.src_utts) == cfg.adapt.batch_size
+        assert [len(labels) for labels in batch.labels] == [cfg.adapt.batch_size] + [cfg.adapt.tgt_batch_size] * 2
         assert batch.num_domains == 2
-        for utts in batch.tgt_utts:
-            assert len(utts) == cfg.adapt.tgt_batch_size
-            assert all(u.shape == (cfg.adapt.crop_frames, 6) for u in utts)
+        assert batch.utts.shape == (cfg.adapt.batch_size + 2 * cfg.adapt.tgt_batch_size, cfg.adapt.crop_frames, 6)
 
     def test_speaker_sampling_uniform(self, chain):
         cfg = chain["cfg"]
@@ -233,7 +230,8 @@ class TestPretrain:
 
     def test_rejects_too_few_domains(self, tmp_path):
         cfg = build_config(tiny_raw())
-        gen_corpus(tmp_path / "c", 1, 3, 4, 10, [DomainSpec("clean"), DomainSpec("noisy", snr_db=3.0)], input_dim=6)
+        gen_corpus(tmp_path / "c", 1,
+                   recipe(3, 4, 10, [DomainSpec("clean"), DomainSpec("noisy", snr_db=3.0)], input_dim=6))
         with pytest.raises(ContractError):
             pretrain(tmp_path / "c", cfg, tmp_path / "out.ckpt")
 
@@ -281,8 +279,8 @@ class TestAdapt:
             adapt(chain["pre"], chain["corpus"], chain["cfg"], tmp_path / "x.ckpt")
 
     def test_requires_two_target_domains(self, chain, tmp_path):
-        gen_corpus(tmp_path / "c2", 1, 4, 10, 30,
-                   [DomainSpec("clean"), DomainSpec("noisy", snr_db=4.0)], input_dim=6)
+        gen_corpus(tmp_path / "c2", 1, recipe(4, 10, 30,
+                                              [DomainSpec("clean"), DomainSpec("noisy", snr_db=4.0)], input_dim=6))
         with pytest.raises(ContractError):
             adapt(chain["ft"], tmp_path / "c2", chain["cfg"], tmp_path / "x.ckpt")
 
@@ -305,7 +303,7 @@ class TestAdapt:
     def test_domain_count_mismatch_detected(self, chain, tmp_path):
         domains = [DomainSpec("clean"), DomainSpec("noisy", snr_db=2.0),
                    DomainSpec("noisy", snr_db=5.0), DomainSpec("noisy", snr_db=8.0)]
-        gen_corpus(tmp_path / "c4", 1, 4, 10, 30, domains, input_dim=6)
+        gen_corpus(tmp_path / "c4", 1, recipe(4, 10, 30, domains, input_dim=6))
         with pytest.raises(StructuralError):
             adapt(chain["ft"], tmp_path / "c4", chain["cfg"], tmp_path / "x.ckpt")
 
