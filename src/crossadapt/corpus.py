@@ -7,9 +7,12 @@ temporal structure for the pooling layer to exploit. Every clean utterance
 is rendered in parallel into each target domain (same content, different
 channel), which makes domain shift the only difference between domains.
 
-Feature files are a small binary format (magic ``XDAF``); the manifest is a
-line-oriented TSV with one header line carrying the seed and a fingerprint
-of the generation config.
+Feature files are a small binary format (magic ``XDAF``) with a float32
+payload; the manifest is a line-oriented TSV with one header line carrying
+the seed and a fingerprint of the generation config.  ``read_features``
+returns the stored float32 frames as a read-only array, so a store of them
+holds 4 bytes per value; frames become float64 only inside the trunk
+(``model.Model._groups_forward``), and that cast is exact.
 """
 
 from __future__ import annotations
@@ -85,6 +88,13 @@ class DomainSpec:
                 raise ContractError("farfield attenuation must be positive")
         if not np.isfinite(self.snr_db):
             raise ContractError("snr_db must be finite")
+
+    def check_shape(self, frames: int, dim: int) -> None:
+        """Refuse utterances of ``frames`` x ``dim`` this recipe cannot render."""
+        if self.kind == "channel" and len(self.channel_gain) != dim:
+            raise StructuralError(f"channel gain has {len(self.channel_gain)} dims, features have {dim}")
+        if self.kind == "farfield" and self.smear_width > frames:
+            raise ContractError(f"smear_width {self.smear_width} exceeds {frames} frames")
 
     def describe(self) -> str:
         if self.kind == "channel":
@@ -260,9 +270,10 @@ def read_feature_header(path):
 
 
 def read_features(path) -> np.ndarray:
-    """Read a feature file back as float64 [T x D]."""
+    """Read a feature file back as its float32 [T x D] frames, a read-only
+    view of the payload (see the module docstring)."""
     shape, payload = _read(path, body=True)
-    return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
+    return np.frombuffer(payload, dtype="<f4").reshape(shape)
 
 
 # -- domain transforms ----------------------------------------------------------
@@ -273,20 +284,12 @@ def apply_domain_transform(features, spec: DomainSpec, noise_stream=None) -> np.
     x = np.asarray(features, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ContractError("domain transform requires finite input")
+    spec.check_shape(*x.shape)
     if spec.kind == "clean":
         return x.copy()
     if spec.kind == "channel":
-        gain = np.asarray(spec.channel_gain)
-        if gain.shape != (x.shape[1],):
-            raise StructuralError(
-                f"channel gain has {gain.size} dims, features have {x.shape[1]}"
-            )
-        return x * gain[None, :]
+        return x * np.asarray(spec.channel_gain)[None, :]
     if spec.kind == "farfield":
-        if spec.smear_width > x.shape[0]:
-            raise ContractError(
-                f"smear_width {spec.smear_width} exceeds {x.shape[0]} frames"
-            )
         y = spec.atten * x
         if spec.smear_width == 1:
             return y
@@ -337,9 +340,11 @@ def gen_corpus(out_dir, seed: int, recipe: CorpusConfig) -> CorpusManifest:
 
     Deterministic per (seed, utterance): every random draw comes from a
     substream derived from the utterance identity, so generation order does
-    not affect the bytes produced.  An old manifest in ``out_dir`` is
-    removed before the first feature file is written, and the new one is
-    written last, so an interrupted run leaves no manifest.
+    not affect the bytes produced.  A recipe whose domains cannot render
+    its utterances is refused before anything in ``out_dir`` is touched.
+    An old manifest there is removed before the first feature file is
+    written, and the new one is written last, so an interrupted run leaves
+    no manifest.
     """
     if recipe.num_speakers < 2:
         raise ContractError("need at least 2 speakers")
@@ -349,6 +354,8 @@ def gen_corpus(out_dir, seed: int, recipe: CorpusConfig) -> CorpusManifest:
         raise ContractError("domain 0 must be the clean source domain")
     if not 0.0 <= recipe.ar_rho < 1.0:
         raise ContractError("AR(1) coefficient must lie in [0, 1)")
+    for spec in recipe.domains:
+        spec.check_shape(recipe.frames_per_utt, recipe.input_dim)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # a manifest beside partly rewritten feature files would load as a corpus

@@ -14,11 +14,12 @@ frame count.  In training it runs the extractor once per group, all of a
 batch's crops as one stack [N, L, D] with one gemm per layer group.  In
 evaluation, and for the frozen g1-g3 below, a pass has no backward, so it
 runs in stacks of about ``_STACK_ROWS`` rows, which keep each group's
-input and output in L2 (``Model._forward_windows``).  Each group is pooled
-with one stacked ``lde_pool`` call, in matrix form with no [T, K, D]
-tensor.  A canonical frame order makes each pooled row exactly invariant to
-the order of its frames and to its batch, and a clamp keeps expanded
-distances non-negative.
+input and output in L2 (``Model._forward_windows``).  Pooling is in matrix
+form with no [T, K, D] tensor: in training one stacked ``lde_pool`` call
+per group, in evaluation one per chunk of about ``_POOL_ROWS`` rows, so an
+evaluated domain's whole trunk output is never held.  A canonical frame
+order makes each pooled row exactly invariant to the order of its frames
+and to its batch, and a clamp keeps expanded distances non-negative.
 
 The stacks change no bit.  Each crop's rows equal its own product's rows
 wherever a product row's bits do not depend on the other rows, and the
@@ -44,6 +45,7 @@ backprop; the tests check every backward here against central differences.
 import functools
 import hashlib
 import io
+import itertools
 import math
 import re
 import struct
@@ -445,7 +447,7 @@ class Model:
         ex = self.config.extractor
         if not 1 <= first_group <= NUM_GROUPS:
             raise ContractError(f"first group must lie in 1..{NUM_GROUPS}, got {first_group}")
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
         if x.ndim not in (2, 3) or min(x.shape[:-1]) < 1:
             raise StructuralError("extractor input must be a nonempty [T x D] matrix or [N x T x D] stack")
         in_dim = ex.input_dim if first_group == 1 else ex.group_dims[first_group - 2]
@@ -459,8 +461,11 @@ class Model:
 
         Each window is spliced on its own, then one gemm per group covers
         the rows of every window.  Returns the output and, in train mode,
-        one cache per group run.
+        one cache per group run.  Frames come in as stored (float32 from
+        ``corpus.read_features``) or as float64 rows of a lower group; this
+        is where they become float64, exactly, before any arithmetic.
         """
+        h = np.asarray(h, dtype=np.float64)
         caches = [] if mode == "train" else None
         stacked = h.ndim == 3
         for g in range(first - 1, last):
@@ -532,20 +537,27 @@ class Model:
         group, as one stack, when that gives each window's rows and grads
         exactly (``_rows_exact``), otherwise once per utterance; in eval
         mode it runs in stacks of about ``_STACK_ROWS`` rows
-        (``_forward_windows``).  Each group is pooled by one stacked
-        ``lde_pool`` call; rows come back in input order, and a row's bytes
-        do not depend on which other utterances share the list.
+        (``_forward_windows``).  In train mode each group is pooled by one
+        stacked ``lde_pool`` call; in eval mode each is pooled in chunks of
+        about ``_POOL_ROWS`` rows as the stacks come out, so no group's
+        whole trunk output is held, and the cache is empty.  Rows come back
+        in input order, and a row's bytes do not depend on which other
+        utterances share the list or its chunk.
         """
         lengths = np.array([len(x) for x in utts])
         embs = np.empty((len(utts), self.config.lde.output_dim))
+        lde = (self.params["lde.dict"], self.params["lde.log_scale"])
         pools = []
         for t in np.unique(lengths):
             rows = np.flatnonzero(lengths == t)
             if mode != "train":
-                out, windows = np.empty((len(rows), t, self.config.extractor.group_dims[-1])), []
-                for j, h in enumerate(self._forward_windows([utts[i] for i in rows], first_group, NUM_GROUPS)):
-                    out[j] = h
-            elif t >= _MIN_GEMM_ROWS and _rows_exact(self, first_group, NUM_GROUPS, backward=True):
+                outs = self._forward_windows([utts[i] for i in rows], first_group, NUM_GROUPS)
+                per = max(1, _POOL_ROWS // t)
+                for at in range(0, len(rows), per):
+                    chunk = rows[at : at + per]
+                    embs[chunk] = lde_pool(np.stack(list(itertools.islice(outs, len(chunk)))), *lde)[0]
+                continue
+            if t >= _MIN_GEMM_ROWS and _rows_exact(self, first_group, NUM_GROUPS, backward=True):
                 stack = np.asarray(utts) if len(rows) == len(utts) else np.stack([utts[i] for i in rows])
                 out, ex_cache = self.extractor_forward(stack, mode, first_group)
                 windows = [(slice(None), ex_cache)]
@@ -553,7 +565,7 @@ class Model:
                 outs, ex_caches = zip(*(self.extractor_forward(utts[i], mode, first_group) for i in rows))
                 out = np.stack(outs)
                 windows = list(enumerate(ex_caches))
-            embs[rows], lde_cache = lde_pool(out, self.params["lde.dict"], self.params["lde.log_scale"])
+            embs[rows], lde_cache = lde_pool(out, *lde)
             pools.append((rows, lde_cache, windows))
         return embs, pools
 
@@ -669,6 +681,10 @@ _SMALL_GEMM_MACS = 10**6
 
 # rows per stack of a forward-only trunk pass: a group's input and output stay in L2
 _STACK_ROWS = 512
+
+# trunk output rows per lde_pool call of an eval-mode encode: bounds its
+# memory, while pooling each stack alone was slower
+_POOL_ROWS = 8 * _STACK_ROWS
 
 
 @functools.lru_cache(maxsize=64)

@@ -16,6 +16,10 @@ per batch, not once per crop (``Model.encode``; bit-equal, see
 ``model``).  Each stage selects the train records it samples from once, at
 stage start, and reads only their feature files, once each: pretrain and
 adapt the train split of every domain, finetune that of the clean domain.
+The store keeps each file's frames as ``corpus.read_features`` returns
+them, float32 and read-only, so it takes 4 bytes per value; crops and
+their stacks stay float32, and frames become float64 only inside the trunk
+(``Model._groups_forward``), by an exact cast.
 
 Finetune and adapt never train g1-g3, so their batches hold each crop's g3
 rows (``model.FrozenPrefix``) and the trunk runs from g4.  At stage start
@@ -70,9 +74,10 @@ __all__ = [
 
 def load_feature_store(manifest: CorpusManifest, root, stage: str) -> dict:
     """The features of the train records a ``stage`` samples from, each file
-    read once and inserted in manifest order. A file whose frame count
-    disagrees with its record is refused: the stage would train on it, and
-    ``_table_pays`` counts the manifest's frames."""
+    read once, as read-only float32 frames, and inserted in manifest order.
+    A file whose frame count disagrees with its record is refused: the
+    stage would train on it, and ``_table_pays`` counts the manifest's
+    frames."""
     root = os.fspath(root)
     sampled = {r.utt_id for records in _sampled_records(manifest, stage) for r in records}
     store = {}

@@ -159,6 +159,17 @@ class TestExitCodes:
                    "--set", "corpus.bogus=1", "--out", str(tmp_path / "c")])
         assert rc == 2
 
+    def test_unrenderable_recipe_leaves_the_old_corpus(self, tmp_path):
+        """Frames below a farfield domain's smear width are refused before
+        gen-corpus removes the old manifest or rewrites a feature file."""
+        out = tmp_path / "c"
+        assert main(["-q", "gen-corpus", "--set", "corpus.num_speakers=4", "--out", str(out)]) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert out / "manifest.tsv" in before and out / "d3" / "s000_u000_d3.xdaf" in before
+        rc = main(["-q", "gen-corpus", "--set", "corpus.frames_per_utt=5", "--out", str(out)])
+        assert rc == 2
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
     def test_wrong_stage_checkpoint(self, env, tmp_path):
         rc = main(["-q", "finetune", "--config", str(env["config"]), "--init", str(env["ad"]),
                    "--corpus", str(env["corpus"]), "--out", str(tmp_path / "x.ckpt")])

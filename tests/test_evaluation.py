@@ -3,6 +3,7 @@
 import functools
 import shutil
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossadapt import evaluation
+from crossadapt import model as model_mod
 from crossadapt.corpus import DomainSpec, TrialPair, gen_corpus, read_features
 from crossadapt.errors import ContractError, FileFormatError, StructuralError, UnknownDomainError
 from crossadapt.evaluation import (
@@ -195,6 +197,41 @@ class TestEmbed:
         assert together.tobytes() == per_row_embed(utts, model, stage, domain).tobytes()
         for i, x in enumerate(utts):
             assert together[i].tobytes() == embed_one(x, model, stage, domain).tobytes(), i
+
+    @pytest.mark.parametrize("pool_rows", [1, 600, 1000, model_mod._POOL_ROWS])
+    def test_pooling_chunks_and_float32_frames_change_no_byte(self, monkeypatch, pool_rows):
+        """Stored float32 frames, pooled in chunks of 1, 3, 5 or 20
+        utterances at T = 200 (1, 10, 16 or 68 at T = 60), embed to the
+        bytes of their float64 copies embedded one by one."""
+        rng = np.random.default_rng(7)
+        utts = [rng.normal(size=(t, 20)).astype(np.float32) for t in [200] * 11 + [60] * 12]
+        model = default_like_model()
+        monkeypatch.setattr(model_mod, "_POOL_ROWS", pool_rows)
+        for stage, domain in (("finetune", 0), ("adapt", 0), ("adapt", 2)):
+            want = per_row_embed([x.astype(np.float64) for x in utts], model, stage, domain)
+            assert embed_utterances(utts, model, stage, domain).tobytes() == want.tobytes()
+
+    def test_peak_memory_does_not_grow_with_the_domain(self):
+        """An eval-mode encode holds one pooling chunk, not the domain's
+        whole [N, T, 24] trunk output and [N, T, K] pooling temporaries:
+        the traced peak of embedding 2N utterances of 200 frames is that of
+        N, and a few chunks' trunk output."""
+        rng = np.random.default_rng(3)
+        model = default_like_model()
+        per = model_mod._POOL_ROWS // 200
+        domain = [rng.normal(size=(200, 20)).astype(np.float32) for _ in range(4 * per)]
+        embed_utterances(domain[:1], model, "adapt", 1)  # the row probes' caches fill outside the trace
+        peaks = []
+        for n in (2 * per, 4 * per):
+            tracemalloc.start()
+            try:
+                embed_utterances(domain[:n], model, "adapt", 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        chunk_bytes = per * 200 * 24 * 8
+        assert peaks[1] < 1.1 * peaks[0], peaks
+        assert peaks[1] < 5 * chunk_bytes, (peaks, chunk_bytes)
 
     def test_empty_list_rejected(self, generic_model):
         with pytest.raises(ContractError):

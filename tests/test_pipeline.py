@@ -218,6 +218,41 @@ class TestFeatureReads:
             assert out.read_bytes() == chain["ft"].read_bytes()
 
 
+class TestFloat32Store:
+    @pytest.mark.parametrize("stage", ["pretrain", "finetune", "adapt"])
+    def test_store_holds_the_stored_float32_frames_read_only(self, chain, stage):
+        manifest = CorpusManifest.load(chain["corpus"] / "manifest.tsv")
+        store = load_feature_store(manifest, chain["corpus"], stage)
+        for feats in store.values():
+            assert feats.dtype == np.float32 and not feats.flags.writeable
+            with pytest.raises(ValueError):
+                feats[0, 0] = 0.0
+        dim = chain["cfg"].corpus.input_dim
+        frames = sum(r.frames for r in manifest.records if r.utt_id in store)
+        assert sum(a.nbytes for a in store.values()) == 4 * frames * dim
+
+    def test_float64_frames_give_the_same_bytes(self, chain, tmp_path, monkeypatch):
+        """The chain over float64 copies of every feature file (the store
+        before frames stayed float32) writes the same checkpoints and
+        reports: the trunk's cast to float64 is exact and comes first."""
+        def run(out):
+            out.mkdir()
+            cfg, corpus = chain["cfg"], chain["corpus"]
+            pretrain(corpus, cfg, out / "pre.ckpt")
+            finetune(out / "pre.ckpt", corpus, cfg, out / "ft.ckpt")
+            adapt(out / "ft.ckpt", corpus, cfg, out / "ad.ckpt")
+            for ckpt in ("ft", "ad"):
+                assert main(["-q", "evaluate", "--ckpt", str(out / f"{ckpt}.ckpt"), "--corpus", str(corpus),
+                             "--out", str(out / f"{ckpt}.report")]) == 0
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        shipped = run(tmp_path / "float32")
+        for module in (pipeline, evaluation):
+            monkeypatch.setattr(module, "read_features", lambda path: read_features(path).astype(np.float64))
+        assert run(tmp_path / "float64") == shipped
+        assert shipped["pre.ckpt"] == chain["pre"].read_bytes()
+
+
 class TestPretrain:
     def test_rejects_single_speaker(self, tmp_path):
         cfg = build_config(tiny_raw())
