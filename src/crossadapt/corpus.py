@@ -9,8 +9,13 @@ channel), which makes domain shift the only difference between domains.
 
 Feature files are a small binary format (magic ``XDAF``) with a float32
 payload; the manifest is a line-oriented TSV with one header line carrying
-the seed and a fingerprint of the generation config.  ``read_features``
-returns the stored float32 frames as a read-only array, so a store of them
+the seed and a fingerprint of the generation config.  A feature file holds
+the frames of every manifest record that names it, stacked in manifest
+order, so a record's rows start where those of the previous record naming
+that file end; a file of one record is the special case.  ``gen_corpus``
+writes one file per domain and split, ``d<N>/<split>.xdaf``.
+``CorpusManifest.read_frames`` reads each file a caller needs once and
+returns each record's rows as a read-only float32 view, so a store of them
 holds 4 bytes per value; frames become float64 only inside the trunk
 (``model.Model._groups_forward``), and that cast is exact.
 """
@@ -129,6 +134,10 @@ _RECIPE_CONSTANTS = ("input_dim", "identity_dim", "id_scale", "sess_scale", "fra
 
 @dataclass(frozen=True)
 class ManifestRecord:
+    """One utterance. Its ``frames`` rows lie in the feature file at
+    ``relpath``, after the rows of the records before it that name the
+    same file."""
+
     utt_id: str
     speaker_id: int
     domain_id: int
@@ -198,7 +207,9 @@ class CorpusManifest:
                 records.append(
                     ManifestRecord(utt_id, int(speaker), int(domain), split, relpath, int(frames))
                 )
-            except ValueError as exc:  # wrong field count or a non-integer field
+                if records[-1].frames < 1:  # it would shift the rows of the records after it
+                    raise ValueError
+            except ValueError as exc:  # wrong field count, a non-integer field or no frames
                 raise FileFormatError(f"malformed manifest record: {ln!r}") from exc
             if utt_id in seen:
                 raise FileFormatError(f"manifest lists utterance {utt_id!r} twice")
@@ -209,41 +220,70 @@ class CorpusManifest:
         speakers = {r.speaker_id for r in records}
         return cls(seed, len(speakers), fingerprint, records)
 
-    def verify_files(self, root) -> None:
-        """Check every referenced feature file exists, and that its header
-        declares the record's frames and agrees with the file's size; each
-        file is opened once and its payload left unread."""
-        root = os.fspath(root)
+    def _layout(self):
+        """Each record's first row in its feature file, by utterance, and
+        each file's frame total, by path in order of first mention."""
+        starts, totals = {}, {}
         for r in self.records:
-            path = os.path.join(root, r.relpath)
+            starts[r.utt_id] = totals.get(r.relpath, 0)
+            totals[r.relpath] = starts[r.utt_id] + r.frames
+        return starts, totals
+
+    def verify_files(self, root) -> None:
+        """Check every named feature file exists, and that its header
+        declares the frames of all the records naming it and agrees with the
+        file's size; each file is opened once and its payload left unread."""
+        root = os.fspath(root)
+        for relpath, total in self._layout()[1].items():
+            path = os.path.join(root, relpath)
             try:
                 frames, _ = read_feature_header(path)
             except FileFormatError as exc:
                 if isinstance(exc.__cause__, FileNotFoundError):
                     raise StructuralError(f"manifest references missing file {path}") from exc
                 raise
-            if frames != r.frames:
-                raise StructuralError(
-                    f"{path} holds {frames} frames, manifest declares {r.frames}"
-                )
+            _check_frames(path, frames, total)
+
+    def read_frames(self, root, records) -> dict:
+        """``utt_id -> frames`` for ``records`` (records of this manifest), in
+        their order, each a read-only float32 view of its rows.  Every file
+        they name is read once, and refused unless it holds the frames of
+        all the records that name it."""
+        root = os.fspath(root)
+        starts, totals = self._layout()
+        files = {}
+        for r in records:
+            if r.relpath not in files:
+                path = os.path.join(root, r.relpath)
+                files[r.relpath] = read_features(path)
+                _check_frames(path, len(files[r.relpath]), totals[r.relpath])
+        return {r.utt_id: files[r.relpath][starts[r.utt_id] : starts[r.utt_id] + r.frames]
+                for r in records}
+
+
+def _check_frames(path, frames: int, declared: int) -> None:
+    if frames != declared:
+        raise StructuralError(f"{path} holds {frames} frames, its manifest records declare {declared}")
 
 
 # -- feature file format --------------------------------------------------------
 
 
 def write_features(path, features) -> None:
-    """Write a frame matrix as magic/version/T/D header plus f32 payload."""
-    features = np.asarray(features, dtype=np.float64)
+    """Write a frame matrix as magic/version/T/D header plus f32 payload.
+
+    A float32 array is written as it is; anything else is cast to float32
+    first, and it is the values written that must be finite, so a frame
+    that overflows float32 is refused."""
+    with np.errstate(over="ignore"):
+        features = np.ascontiguousarray(features, dtype="<f4")
     if features.ndim != 2 or features.shape[0] < 1:
         raise StructuralError("features must be a nonempty [T x D] matrix")
     if not np.all(np.isfinite(features)):
         raise ContractError("refusing to write non-finite features")
-    t, d = features.shape
-    payload = features.astype("<f4").tobytes()
     with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<III", FEATURE_VERSION, t, d))
-        fh.write(payload)
+        fh.write(FEATURE_MAGIC + struct.pack("<III", FEATURE_VERSION, *features.shape))
+        fh.write(features)
 
 
 def _read(path, body: bool):
@@ -271,7 +311,8 @@ def read_feature_header(path):
 
 def read_features(path) -> np.ndarray:
     """Read a feature file back as its float32 [T x D] frames, a read-only
-    view of the payload (see the module docstring)."""
+    view of the payload; ``CorpusManifest.read_frames`` splits them into
+    records."""
     shape, payload = _read(path, body=True)
     return np.frombuffer(payload, dtype="<f4").reshape(shape)
 
@@ -318,14 +359,14 @@ def split_counts(utts_per_speaker: int):
 
 
 def _ar1_noise(w, sd: float, rho: float) -> np.ndarray:
-    """AR(1) noise with stationary sd from standard normal draws ``w``
-    [T, ..., D]; the recurrence runs over frames, for all other rows at once."""
-    out = np.empty_like(w)
-    out[0] = sd * w[0]
+    """Turn standard normal draws ``w`` [T, ..., D] into AR(1) noise with
+    stationary sd, in place; the recurrence runs over frames, for all other
+    rows at once."""
+    w[0] *= sd
     scale = sd * np.sqrt(1.0 - rho * rho)
     for t in range(1, len(w)):
-        out[t] = rho * out[t - 1] + scale * w[t]
-    return out
+        w[t] = rho * w[t - 1] + scale * w[t]
+    return w
 
 
 def _gen_fingerprint(recipe: CorpusConfig) -> str:
@@ -335,14 +376,34 @@ def _gen_fingerprint(recipe: CorpusConfig) -> str:
     return hashlib.blake2b("\n".join(lines).encode(), digest_size=16).hexdigest()
 
 
+def _clean_frames(seed: int, recipe: CorpusConfig, bases, utts) -> np.ndarray:
+    """Clean frames [N x T x D] of the ``(speaker, stem)`` utterances
+    ``utts``.  Each utterance draws its session offset, then its frame
+    noise, from its own stream, and the noise recurrence is elementwise
+    per utterance, so an utterance's frames do not depend on the others."""
+    out = np.empty((len(utts), recipe.frames_per_utt, recipe.input_dim))
+    offsets = np.empty((len(utts), recipe.input_dim))
+    for i, (s, stem) in enumerate(utts):
+        rng = substream(seed, "utt", stem)
+        offsets[i] = bases[s] + recipe.sess_scale * rng.normal(size=recipe.input_dim)
+        out[i] = rng.normal(size=out.shape[1:])
+    _ar1_noise(out.transpose(1, 0, 2), recipe.frame_sd, recipe.ar_rho)
+    out += offsets[:, None, :]
+    return out
+
+
 def gen_corpus(out_dir, seed: int, recipe: CorpusConfig) -> CorpusManifest:
     """Generate the corpus files plus manifest under ``out_dir``.
 
     Deterministic per (seed, utterance): every random draw comes from a
     substream derived from the utterance identity, so generation order does
-    not affect the bytes produced.  A recipe whose domains cannot render
-    its utterances is refused before anything in ``out_dir`` is touched.
-    An old manifest there is removed before the first feature file is
+    not affect the bytes produced.  Each domain and split with utterances
+    gets one feature file, ``d<N>/<split>.xdaf``, holding its utterances in
+    manifest order: speaker, then utterance.  Splits are rendered one at a
+    time, so generation holds one split's clean frames and one file's
+    frames, never the corpus.  A recipe whose domains cannot render its
+    utterances is refused before anything in ``out_dir`` is touched.  An
+    old manifest there is removed before the first feature file is
     written, and the new one is written last, so an interrupted run leaves
     no manifest.
     """
@@ -366,29 +427,27 @@ def gen_corpus(out_dir, seed: int, recipe: CorpusConfig) -> CorpusManifest:
 
     dim, id_dim, frames = recipe.input_dim, recipe.identity_dim, recipe.frames_per_utt
     proj = substream(seed, "proj").normal(size=(id_dim, dim)) / np.sqrt(id_dim)
+    bases = [(recipe.id_scale * substream(seed, "speaker", s).normal(size=id_dim)) @ proj
+             for s in range(recipe.num_speakers)]
     train_n, enroll_n, _ = split_counts(recipe.utts_per_speaker)
-    records = []
-    for s in range(recipe.num_speakers):
-        identity = recipe.id_scale * substream(seed, "speaker", s).normal(size=id_dim)
-        base = identity @ proj
-        stems = [f"s{s:03d}_u{u:03d}" for u in range(recipe.utts_per_speaker)]
-        # each utterance draws its session offset, then its frame noise, from
-        # its own stream; the noise recurrence runs once for the speaker
-        utt_rngs = [substream(seed, "utt", stem) for stem in stems]
-        sessions = [recipe.sess_scale * r.normal(size=dim) for r in utt_rngs]
-        draws = np.stack([r.normal(size=(frames, dim)) for r in utt_rngs], axis=1)
-        frame_noise = _ar1_noise(draws, recipe.frame_sd, recipe.ar_rho)
-        for u, stem in enumerate(stems):
-            split = "train" if u < train_n else "enroll" if u < train_n + enroll_n else "test"
-            clean = base + sessions[u] + frame_noise[:, u]
-            for d, spec in enumerate(recipe.domains):
-                # only a noisy domain draws; building a stream draws nothing
-                noise = substream(seed, "noise", stem, d) if spec.kind == "noisy" else None
-                feats = apply_domain_transform(clean, spec, noise)
-                utt_id = f"{stem}_d{d}"
-                relpath = f"d{d}/{utt_id}.xdaf"
-                write_features(out_dir / relpath, feats)
-                records.append(ManifestRecord(utt_id, s, d, split, relpath, frames))
+    utts = [(s, f"s{s:03d}_u{u:03d}",
+             "train" if u < train_n else "enroll" if u < train_n + enroll_n else "test")
+            for s in range(recipe.num_speakers) for u in range(recipe.utts_per_speaker)]
+    records = [ManifestRecord(f"{stem}_d{d}", s, d, split, f"d{d}/{split}.xdaf", frames)
+               for s, stem, split in utts for d in range(len(recipe.domains))]
+    for split in SPLITS:
+        in_split = [(s, stem) for s, stem, of in utts if of == split]
+        if not in_split:
+            continue
+        clean = _clean_frames(seed, recipe, bases, in_split)
+        rendered = np.empty(clean.shape, dtype=np.float32)
+        for d, spec in enumerate(recipe.domains):
+            with np.errstate(over="ignore"):  # write_features refuses what overflows float32
+                for i, (_, stem) in enumerate(in_split):
+                    # only a noisy domain draws; building a stream draws nothing
+                    noise = substream(seed, "noise", stem, d) if spec.kind == "noisy" else None
+                    rendered[i] = apply_domain_transform(clean[i], spec, noise)
+            write_features(out_dir / f"d{d}" / f"{split}.xdaf", rendered.reshape(-1, dim))
     manifest = CorpusManifest(seed, recipe.num_speakers, _gen_fingerprint(recipe), records)
     manifest.save(out_dir / "manifest.tsv")
     return manifest

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import CorpusManifest, read_features
+from .corpus import CorpusManifest
 from .errors import ContractError, FileFormatError, StructuralError, UnknownDomainError
 from .fileio import write_artifact
 from .model import STAGES
@@ -220,7 +220,9 @@ def evaluate_domain(model, stage, manifest: CorpusManifest, root, domain_id):
 
     Trials run enroll-major in utterance-id order; each enroll utterance
     stands for its speaker's model, the normalized mean of the speaker's
-    enroll embeddings taken in manifest order.
+    enroll embeddings taken in manifest order.  The domain's enroll and
+    test frames come from ``CorpusManifest.read_frames``: each feature file
+    read once, and refused unless it holds its records' frames.
     """
     if not 0 <= domain_id < manifest.num_domains:
         raise UnknownDomainError(f"domain {domain_id} not present in manifest")
@@ -228,10 +230,9 @@ def evaluate_domain(model, stage, manifest: CorpusManifest, root, domain_id):
     test = sorted(manifest.select(domain_id, "test"), key=lambda r: r.utt_id)
     if not enroll or not test:
         raise ContractError(f"domain {domain_id} lacks enroll or test utterances")
-    root = Path(root)
-    # one trunk pass over the domain; each file is read once
-    embs = embed_utterances([read_features(root / r.relpath) for r in enroll + test],
-                            model, stage, domain_id)
+    # one trunk pass over the domain
+    frames = manifest.read_frames(root, enroll + test)
+    embs = embed_utterances(list(frames.values()), model, stage, domain_id)
 
     by_speaker = {}
     for r, emb in zip(enroll, embs):

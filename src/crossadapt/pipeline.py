@@ -14,10 +14,10 @@ A step's crops are one stack [N x L x D] (every crop has ``crop_frames``
 rows, padded ones too), and the trainable trunk runs over the stack once
 per batch, not once per crop (``Model.encode``; bit-equal, see
 ``model``).  Each stage selects the train records it samples from once, at
-stage start, and reads only their feature files, once each: pretrain and
-adapt the train split of every domain, finetune that of the clean domain.
-The store keeps each file's frames as ``corpus.read_features`` returns
-them, float32 and read-only, so it takes 4 bytes per value; crops and
+stage start, and reads only the feature files that hold them, once each:
+pretrain and adapt the train file of every domain, finetune that of the
+clean domain.  The store keeps each utterance's frames as a read-only
+float32 view of its file's rows, so it takes 4 bytes per value; crops and
 their stacks stay float32, and frames become float64 only inside the trunk
 (``Model._groups_forward``), by an exact cast.
 
@@ -38,13 +38,12 @@ a larger stacked pass does not pay for them in page faults.
 from __future__ import annotations
 
 import logging
-import os
 from pathlib import Path
 
 import numpy as np
 
 from .config import AppConfig, StageConfig
-from .corpus import CorpusManifest, read_features
+from .corpus import CorpusManifest
 from .errors import ContractError, FileFormatError, NumericError, StructuralError
 from .losses import DomainBatch, cross_entropy_grad, total_loss
 from .model import (
@@ -73,24 +72,14 @@ __all__ = [
 
 
 def load_feature_store(manifest: CorpusManifest, root, stage: str) -> dict:
-    """The features of the train records a ``stage`` samples from, each file
-    read once, as read-only float32 frames, and inserted in manifest order.
-    A file whose frame count disagrees with its record is refused: the
-    stage would train on it, and ``_table_pays`` counts the manifest's
-    frames."""
-    root = os.fspath(root)
+    """The frames of the train records a ``stage`` samples from, by
+    utterance in manifest order, as ``CorpusManifest.read_frames`` returns
+    them: read-only float32 views, each feature file read once.  A file
+    whose frame count is not its records' total is refused: the stage
+    would train on misplaced rows, and ``_table_pays`` counts the
+    manifest's frames."""
     sampled = {r.utt_id for records in _sampled_records(manifest, stage) for r in records}
-    store = {}
-    for r in manifest.records:
-        if r.utt_id in sampled:
-            path = os.path.join(root, r.relpath)
-            feats = read_features(path)
-            if feats.shape[0] != r.frames:
-                raise StructuralError(
-                    f"{path} holds {feats.shape[0]} frames, manifest declares {r.frames}"
-                )
-            store[r.utt_id] = feats
-    return store
+    return manifest.read_frames(root, [r for r in manifest.records if r.utt_id in sampled])
 
 
 def crop_utterance(features: np.ndarray, crop_frames: int, rng):

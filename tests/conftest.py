@@ -1,10 +1,11 @@
+import dataclasses
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crossadapt.corpus import CorpusConfig
+from crossadapt.corpus import CorpusConfig, CorpusManifest, read_features, write_features
 from crossadapt.model import ExtractorConfig, LdeConfig, Model, ModelConfig, SubnetConfig
 
 
@@ -25,6 +26,34 @@ def recipe(num_speakers, utts_per_speaker, frames_per_utt, domains, input_dim=20
     and the acceptance chains take theirs from ``config.SCHEMA``."""
     return CorpusConfig(num_speakers, utts_per_speaker, frames_per_utt, input_dim, identity_dim,
                         id_scale, sess_scale, frame_sd, ar_rho, tuple(domains))
+
+
+def record_frames(root, manifest, record):
+    """``record``'s frames, found by the layout rule alone: its rows follow
+    those of the records before it in ``manifest`` that name its file."""
+    start = 0
+    for r in manifest.records:
+        if r.utt_id == record.utt_id:
+            return read_features(Path(root) / r.relpath)[start : start + r.frames]
+        if r.relpath == record.relpath:
+            start += r.frames
+    raise KeyError(record.utt_id)
+
+
+def unpack_corpus(root, manifest, out):
+    """Rewrite the corpus at ``root`` under ``out`` with one feature file per
+    record, ``d<N>/<utt_id>.xdaf`` (the layout of older corpora), from the
+    same frames; returns the new manifest, which ``out`` also holds."""
+    out = Path(out)
+    records = []
+    for r in manifest.records:
+        relpath = f"d{r.domain_id}/{r.utt_id}.xdaf"
+        (out / relpath).parent.mkdir(parents=True, exist_ok=True)
+        write_features(out / relpath, record_frames(root, manifest, r))
+        records.append(dataclasses.replace(r, relpath=relpath))
+    unpacked = CorpusManifest(manifest.seed, manifest.num_speakers, manifest.fingerprint, records)
+    unpacked.save(out / "manifest.tsv")
+    return unpacked
 
 
 def default_like_config():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import crossadapt
 from crossadapt import cli, pipeline
 from crossadapt.cli import main
+from crossadapt.corpus import CorpusManifest
 from crossadapt.evaluation import read_report
 from crossadapt.model import load_checkpoint, save_checkpoint
 from conftest import set_arch_entry
@@ -58,6 +59,12 @@ def flip(raw, where, mask):
     out = bytearray(raw)
     out[where % len(out)] ^= mask
     return bytes(out)
+
+
+def feature_file(corpus, utt_id):
+    """The feature file that holds utterance ``utt_id`` of ``corpus``."""
+    record = next(r for r in CorpusManifest.load(corpus / "manifest.tsv").records if r.utt_id == utt_id)
+    return corpus / record.relpath
 
 
 def chain(root, cfg):
@@ -140,7 +147,7 @@ class TestSeeds:
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
             assert main(["-q", "gen-corpus", *conf, "--seed", "5", "--out", str(out)]) == 0
-        probe = "d1/s000_u000_d1.xdaf"
+        probe = feature_file(a, "s000_u000_d1").relative_to(a)
         assert (a / probe).read_bytes() == (b / probe).read_bytes()
         assert (a / "manifest.tsv").read_bytes() == (b / "manifest.tsv").read_bytes()
 
@@ -149,7 +156,7 @@ class TestSeeds:
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["-q", "gen-corpus", *conf, "--seed", "5", "--out", str(a)]) == 0
         assert main(["-q", "gen-corpus", *conf, "--seed", "6", "--out", str(b)]) == 0
-        probe = "d0/s000_u000_d0.xdaf"
+        probe = feature_file(a, "s000_u000_d0").relative_to(a)
         assert (a / probe).read_bytes() != (b / probe).read_bytes()
 
 
@@ -165,7 +172,7 @@ class TestExitCodes:
         out = tmp_path / "c"
         assert main(["-q", "gen-corpus", "--set", "corpus.num_speakers=4", "--out", str(out)]) == 0
         before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
-        assert out / "manifest.tsv" in before and out / "d3" / "s000_u000_d3.xdaf" in before
+        assert out / "manifest.tsv" in before and feature_file(out, "s000_u000_d3") in before
         rc = main(["-q", "gen-corpus", "--set", "corpus.frames_per_utt=5", "--out", str(out)])
         assert rc == 2
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
@@ -281,20 +288,22 @@ class TestExitCodes:
     def test_missing_feature_file_exits_2(self, env, tmp_path):
         corpus = tmp_path / "corpus"
         shutil.copytree(env["corpus"], corpus)
-        (corpus / "d0" / "s000_u000_d0.xdaf").unlink()
+        feature_file(corpus, "s000_u000_d0").unlink()
         rc = main(["-q", "pretrain", "--config", str(env["config"]), "--corpus", str(corpus),
                    "--out", str(tmp_path / "x.ckpt")])
         assert rc == 2
 
     @pytest.mark.parametrize("command", ["pretrain", "finetune", "adapt", "evaluate"])
     @pytest.mark.parametrize("damage", ["missing", "unreadable", "directory", "truncated",
-                                        "oversized", "trailing", "magic", "version"])
+                                        "oversized", "trailing", "magic", "version", "misframed"])
     def test_bad_feature_file_exits_2(self, env, tmp_path, monkeypatch, command, damage):
         """A clean train file every command reads, damaged each way the
-        reader refuses: each command exits 2 and writes nothing."""
+        reader refuses: each command exits 2 and writes nothing.  A
+        misframed file is whole, but its header counts one frame fewer than
+        the records that name it declare."""
         corpus = tmp_path / "corpus"
         shutil.copytree(env["corpus"], corpus)
-        victim = corpus / "d0" / "s000_u000_d0.xdaf"
+        victim = feature_file(corpus, "s000_u000_d0")
         raw = victim.read_bytes()
         if damage in ("missing", "directory"):
             victim.unlink()
@@ -317,6 +326,8 @@ class TestExitCodes:
                 "trailing": raw + b"\0",
                 "magic": b"XDAG" + raw[4:],
                 "version": raw[:4] + struct.pack("<I", 2) + raw[8:],
+                "misframed": raw[:8] + struct.pack("<I", struct.unpack_from("<I", raw, 8)[0] - 1)
+                + raw[12:-4 * struct.unpack_from("<I", raw, 12)[0]],
             }[damage])
         conf = ["--config", str(env["config"]), "--corpus", str(corpus)]
         argv = {
@@ -375,15 +386,26 @@ class TestExitCodes:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_blowup_exits_3(self, env, tmp_path):
-        # f64-finite feature values that overflow the f32 payload to inf,
-        # so the first forward pass yields a non-finite loss
+        # a well-formed train file whose float32 payload is all inf, so the
+        # first forward pass yields a non-finite loss
         conf = ["--config", str(env["config"])]
         corpus = tmp_path / "hot"
-        assert main(["-q", "gen-corpus", *conf, "--set", "corpus.id_scale=1.0e60",
-                     "--out", str(corpus)]) == 0
+        shutil.copytree(env["corpus"], corpus)
+        victim = feature_file(corpus, "s000_u000_d0")
+        raw = victim.read_bytes()
+        victim.write_bytes(raw[:16] + np.full((len(raw) - 16) // 4, np.inf, dtype="<f4").tobytes())
         rc = main(["-q", "pretrain", *conf, "--corpus", str(corpus),
                    "--out", str(tmp_path / "x.ckpt")])
         assert rc == 3
+
+    def test_features_that_overflow_float32_exit_2(self, env, tmp_path):
+        """Frames finite in float64 but not in float32 are refused before
+        they are written, and gen-corpus leaves no manifest."""
+        corpus = tmp_path / "hot"
+        rc = main(["-q", "gen-corpus", "--config", str(env["config"]), "--set", "corpus.id_scale=1.0e60",
+                   "--out", str(corpus)])
+        assert rc == 2
+        assert not (corpus / "manifest.tsv").exists()
 
 
 class TestBlasThreads:

@@ -16,6 +16,7 @@ from crossadapt import corpus, evaluation
 from crossadapt.cli import main
 from crossadapt.config import load_config
 from crossadapt.corpus import (
+    SPLITS,
     CorpusManifest,
     DomainSpec,
     ManifestRecord,
@@ -40,7 +41,7 @@ from crossadapt.rng import substream
 from crossadapt.model import Model
 from crossadapt.rng import substream
 
-from conftest import jitter_params, micro_config, recipe
+from conftest import jitter_params, micro_config, recipe, record_frames
 
 
 def small_domains(dim=6):
@@ -153,6 +154,25 @@ class TestFeatureFiles:
     def test_non_finite_rejected(self, tmp_path):
         with pytest.raises(ContractError):
             write_features(tmp_path / "n.xdaf", np.array([[np.nan, 1.0]]))
+
+    def test_values_that_overflow_float32_rejected(self, tmp_path):
+        """The check reads the float32 values written, not their float64
+        source, so a finite float64 beyond float32's range is refused."""
+        with pytest.raises(ContractError):
+            write_features(tmp_path / "big.xdaf", np.array([[1.0e60, 1.0]]))
+        assert not (tmp_path / "big.xdaf").exists()
+
+    def test_float32_frames_are_written_without_a_copy(self, tmp_path, rng):
+        frames = rng.normal(size=(4096, 20)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            write_features(tmp_path / "f.xdaf", frames)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the finiteness mask takes a quarter of the payload; a float64 copy twice it
+        assert peak < frames.nbytes / 2
+        assert read_features(tmp_path / "f.xdaf").tobytes() == frames.tobytes()
 
 
 class TestDomainSpec:
@@ -287,7 +307,7 @@ class TestGenCorpus:
                                              frames_per_utt=20, domains=[DomainSpec("clean")], input_dim=8))
         means, spk = [], []
         for r in man.select(domain_id=0):
-            means.append(read_features(tmp_path / r.relpath).mean(axis=0))
+            means.append(record_frames(tmp_path, man, r).mean(axis=0))
             spk.append(r.speaker_id)
         means = np.array(means)
         means /= np.linalg.norm(means, axis=1, keepdims=True)
@@ -305,7 +325,7 @@ class TestGenCorpus:
         def within_speaker_spread(domain_id):
             dists = []
             for s in range(3):
-                rows = [read_features(tmp_path / r.relpath).mean(axis=0)
+                rows = [record_frames(tmp_path, man, r).mean(axis=0)
                         for r in man.select(domain_id=domain_id) if r.speaker_id == s]
                 for i in range(len(rows)):
                     for j in range(i + 1, len(rows)):
@@ -348,6 +368,58 @@ class TestGenCorpus:
         with pytest.raises(FileFormatError):
             CorpusManifest.load(path)
 
+    @pytest.mark.parametrize("utts,splits", [(10, SPLITS), (5, ("train", "test")), (4, ("train",))])
+    def test_one_feature_file_per_domain_and_split(self, tmp_path, utts, splits):
+        """Each domain's utterances of one split share one file, stacked in
+        manifest order; a split without utterances gets no file."""
+        man = gen_corpus(tmp_path, 2, recipe(num_speakers=3, utts_per_speaker=utts,
+                                             frames_per_utt=5, domains=small_domains(), input_dim=6))
+        files = {f"d{d}/{split}.xdaf" for d in range(3) for split in splits}
+        assert {r.relpath for r in man.records} == files
+        assert {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()} == \
+            files | {"manifest.tsv"}
+        for path in files:
+            named = [r for r in man.records if r.relpath == path]
+            frames = read_features(tmp_path / path)
+            assert frames.shape[0] == sum(r.frames for r in named)
+            got = man.read_frames(tmp_path, named)
+            assert list(got) == [r.utt_id for r in named]
+            assert np.concatenate(list(got.values())).tobytes() == frames.tobytes()
+
+    def test_manifest_order_is_speaker_major(self, tmp_path):
+        """Records run speaker, utterance, domain, whatever file holds them:
+        stages sample records by their manifest index."""
+        man = gen_corpus(tmp_path, 2, recipe(num_speakers=3, utts_per_speaker=10,
+                                             frames_per_utt=5, domains=small_domains(), input_dim=6))
+        assert [r.utt_id for r in man.records] == [f"s{s:03d}_u{u:03d}_d{d}" for s in range(3)
+                                                    for u in range(10) for d in range(3)]
+
+    def test_generation_never_holds_the_corpus(self, tmp_path):
+        """Splits are rendered one at a time, so the peak of traced memory
+        stays below the corpus's float32 payload."""
+        kw = dict(num_speakers=16, utts_per_speaker=10, frames_per_utt=200, domains=small_domains(20))
+        tracemalloc.start()
+        try:
+            man = gen_corpus(tmp_path, 3, recipe(**kw))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        payload = sum(4 * r.frames * 20 for r in man.records)
+        assert peak < payload
+
+    def test_reader_refuses_a_file_that_does_not_hold_its_records(self, tmp_path, rng):
+        man = gen_corpus(tmp_path, 2, recipe(num_speakers=2, utts_per_speaker=10,
+                                             frames_per_utt=5, domains=[DomainSpec("clean")], input_dim=6))
+        enroll = man.select(0, "enroll")
+        frames = read_features(tmp_path / enroll[0].relpath)
+        # one record's worth of rows short: its neighbour's rows would shift
+        write_features(tmp_path / enroll[0].relpath, frames[5:])
+        with pytest.raises(StructuralError, match="frames"):
+            man.read_frames(tmp_path, enroll[1:])
+        with pytest.raises(StructuralError, match="frames"):
+            man.verify_files(tmp_path)
+        man.read_frames(tmp_path, man.select(0, "train"))
+
     def test_verify_files_catches_missing_and_mismatch(self, tmp_path, rng):
         man = gen_corpus(tmp_path, 2, recipe(num_speakers=2, utts_per_speaker=3,
                                              frames_per_utt=5, domains=[DomainSpec("clean")], input_dim=6))
@@ -381,6 +453,15 @@ class TestManifestPaths:
     def test_parent_path_refused(self, tmp_path, relpath):
         path = self.write(tmp_path, [ManifestRecord("u", 0, 0, "train", relpath, 5)])
         with pytest.raises(FileFormatError, match="leaves the corpus"):
+            CorpusManifest.load(path)
+
+    @pytest.mark.parametrize("frames", [0, -5])
+    def test_record_without_frames_refused(self, tmp_path, frames):
+        """A record's frame count places the rows of the records after it in
+        their file, so a count below one is refused."""
+        path = self.write(tmp_path, [ManifestRecord("u", 0, 0, "train", "d0/a.xdaf", frames),
+                                     ManifestRecord("v", 1, 0, "train", "d0/a.xdaf", 5)])
+        with pytest.raises(FileFormatError, match="malformed manifest record"):
             CorpusManifest.load(path)
 
     def test_dotted_names_inside_the_corpus_load(self, tmp_path):
@@ -538,11 +619,15 @@ class TestTrials:
         first = evaluate_domain(model, "pretrain", man, tmp_path, 2)
         shuffled = list(man.records)
         random.Random(0).shuffle(shuffled)
+        # the records of one file keep their order, which places their rows
+        in_file = {path: iter([r for r in man.records if r.relpath == path])
+                   for path in {r.relpath for r in man.records}}
+        shuffled = [next(in_file[r.relpath]) for r in shuffled]
         man_shuffled = CorpusManifest(man.seed, man.num_speakers, man.fingerprint, shuffled)
         assert evaluate_domain(model, "pretrain", man_shuffled, tmp_path, 2) == first
         assert seen[0].tobytes() == seen[1].tobytes()
         # one enroll utterance per speaker: its embedding is the speaker model
-        emb = {r.utt_id: embed_utterances([read_features(tmp_path / r.relpath)], model,
+        emb = {r.utt_id: embed_utterances([record_frames(tmp_path, man, r)], model,
                                           "pretrain", 2)[0]
                for r in man.select(2)}
         enroll = sorted(r.utt_id for r in man.select(2, "enroll"))

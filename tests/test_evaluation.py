@@ -1,7 +1,6 @@
 """Evaluation-side tests: embeddings, scoring, EER against oracles, reports."""
 
 import functools
-import shutil
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 
 from crossadapt import evaluation
 from crossadapt import model as model_mod
-from crossadapt.corpus import DomainSpec, TrialPair, gen_corpus, read_features
+from crossadapt.corpus import DomainSpec, TrialPair, gen_corpus, write_features
 from crossadapt.errors import ContractError, FileFormatError, StructuralError, UnknownDomainError
 from crossadapt.evaluation import (
     DomainEval,
@@ -34,7 +33,7 @@ from crossadapt.evaluation import (
 )
 from crossadapt.model import STAGES, Model, lde_pool
 
-from conftest import default_like_config, jitter_params, micro_config, recipe
+from conftest import default_like_config, jitter_params, micro_config, recipe, record_frames
 
 
 def records_from(targets, nontargets):
@@ -478,7 +477,7 @@ def reference_evaluate_domain(model, stage, manifest, root, domain_id):
 
     def embed_records(records):
         return {
-            r.utt_id: embed_one(read_features(Path(root) / r.relpath), model, stage, domain_id)
+            r.utt_id: embed_one(record_frames(root, manifest, r), model, stage, domain_id)
             for r in records
         }
 
@@ -514,10 +513,13 @@ def micro_corpus(tmp_path_factory):
             root = tmp_path_factory.mktemp("micro")
             man = gen_corpus(root, 7, recipe(num_speakers=speakers, utts_per_speaker=utts,
                                              frames_per_utt=5, domains=domains, input_dim=4))
-            for r in man.select(split="test") if copies else []:
-                if r.speaker_id > 0:
-                    shutil.copyfile(root / r.relpath.replace(f"s{r.speaker_id:03d}_", "s000_"),
-                                    root / r.relpath)
+            if copies:
+                test = man.select(split="test")
+                frames = {r.utt_id: record_frames(root, man, r) for r in test}
+                for path in {r.relpath for r in test}:
+                    write_features(root / path, np.concatenate(
+                        [frames[r.utt_id.replace(f"s{r.speaker_id:03d}_", "s000_")]
+                         for r in test if r.relpath == path]))
             cache[speakers, utts, copies] = (man, root)
         return cache[speakers, utts, copies]
 

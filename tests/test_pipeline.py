@@ -9,7 +9,8 @@ import pytest
 import yaml
 
 from crossadapt.cli import main
-from crossadapt import evaluation, pipeline
+from crossadapt import corpus as corpus_mod
+from crossadapt import pipeline
 from crossadapt.config import SCHEMA, build_config, load_config
 from crossadapt.corpus import (
     CorpusManifest,
@@ -33,7 +34,7 @@ from crossadapt.pipeline import (
 )
 from crossadapt.rng import substream
 
-from conftest import recipe
+from conftest import recipe, unpack_corpus
 
 
 def tiny_raw():
@@ -167,34 +168,38 @@ class TestSampling:
             sample_batches(pipeline._sampled_records(manifest, "adapt"), {}, substream(1, "z"), cfg.adapt)
 
 
-def count_reads(monkeypatch, module):
-    """Count the ``read_features`` calls ``module`` makes, by path."""
+def count_reads(monkeypatch):
+    """Count the ``read_features`` calls the corpus reader makes, by path."""
     reads = Counter()
 
     def spy(path):
         reads[Path(path)] += 1
         return read_features(path)
 
-    monkeypatch.setattr(module, "read_features", spy)
+    monkeypatch.setattr(corpus_mod, "read_features", spy)
     return reads
+
+
+def once_each(corpus, records):
+    """One read of each feature file that ``records`` name."""
+    return Counter({corpus / path: 1 for path in {r.relpath for r in records}})
 
 
 class TestFeatureReads:
     def test_finetune_reads_each_clean_train_file_once(self, chain, tmp_path, monkeypatch):
-        reads = count_reads(monkeypatch, pipeline)
+        reads = count_reads(monkeypatch)
         finetune(chain["pre"], chain["corpus"], chain["cfg"], tmp_path / "ft.ckpt")
         manifest = CorpusManifest.load(chain["corpus"] / "manifest.tsv")
-        assert reads == Counter(chain["corpus"] / r.relpath for r in manifest.select(0, "train"))
+        assert reads == once_each(chain["corpus"], manifest.select(0, "train"))
         assert (tmp_path / "ft.ckpt").read_bytes() == chain["ft"].read_bytes()
 
     def test_evaluate_reads_each_enroll_and_test_payload_once(self, chain, tmp_path, monkeypatch):
-        reads = count_reads(monkeypatch, evaluation)
+        reads = count_reads(monkeypatch)
         rc = main(["-q", "evaluate", "--ckpt", str(chain["ft"]), "--corpus", str(chain["corpus"]),
                    "--out", str(tmp_path / "r.report")])
         assert rc == 0
         manifest = CorpusManifest.load(chain["corpus"] / "manifest.tsv")
-        assert reads == Counter(chain["corpus"] / r.relpath for r in manifest.records
-                                if r.split != "train")
+        assert reads == once_each(chain["corpus"], [r for r in manifest.records if r.split != "train"])
 
     @pytest.mark.parametrize("stage,domain,refused", [
         ("pretrain", 1, True), ("finetune", 0, True), ("adapt", 2, True), ("finetune", 1, False)])
@@ -235,22 +240,36 @@ class TestFloat32Store:
         """The chain over float64 copies of every feature file (the store
         before frames stayed float32) writes the same checkpoints and
         reports: the trunk's cast to float64 is exact and comes first."""
-        def run(out):
-            out.mkdir()
-            cfg, corpus = chain["cfg"], chain["corpus"]
-            pretrain(corpus, cfg, out / "pre.ckpt")
-            finetune(out / "pre.ckpt", corpus, cfg, out / "ft.ckpt")
-            adapt(out / "ft.ckpt", corpus, cfg, out / "ad.ckpt")
-            for ckpt in ("ft", "ad"):
-                assert main(["-q", "evaluate", "--ckpt", str(out / f"{ckpt}.ckpt"), "--corpus", str(corpus),
-                             "--out", str(out / f"{ckpt}.report")]) == 0
-            return {p.name: p.read_bytes() for p in out.iterdir()}
-
-        shipped = run(tmp_path / "float32")
-        for module in (pipeline, evaluation):
-            monkeypatch.setattr(module, "read_features", lambda path: read_features(path).astype(np.float64))
-        assert run(tmp_path / "float64") == shipped
+        shipped = run_chain(chain["cfg"], chain["corpus"], tmp_path / "float32")
+        monkeypatch.setattr(corpus_mod, "read_features", lambda path: read_features(path).astype(np.float64))
+        assert run_chain(chain["cfg"], chain["corpus"], tmp_path / "float64") == shipped
         assert shipped["pre.ckpt"] == chain["pre"].read_bytes()
+
+
+def run_chain(cfg, corpus, out):
+    """pretrain, finetune, adapt and both evaluations on ``corpus`` into a
+    new directory ``out``; returns the bytes of every file written."""
+    out.mkdir()
+    pretrain(corpus, cfg, out / "pre.ckpt")
+    finetune(out / "pre.ckpt", corpus, cfg, out / "ft.ckpt")
+    adapt(out / "ft.ckpt", corpus, cfg, out / "ad.ckpt")
+    for ckpt in ("ft", "ad"):
+        assert main(["-q", "evaluate", "--ckpt", str(out / f"{ckpt}.ckpt"), "--corpus", str(corpus),
+                     "--out", str(out / f"{ckpt}.report")]) == 0
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+class TestFileLayout:
+    def test_one_file_per_record_gives_the_same_bytes(self, chain, tmp_path):
+        """The chain over the corpus rewritten one record per feature file
+        (the layout of older corpora) writes the checkpoints and reports it
+        writes over one file per domain and split."""
+        manifest = CorpusManifest.load(chain["corpus"] / "manifest.tsv")
+        unpacked = unpack_corpus(chain["corpus"], manifest, tmp_path / "unpacked")
+        assert len({r.relpath for r in unpacked.records}) == len(unpacked.records)
+        got = run_chain(chain["cfg"], tmp_path / "unpacked", tmp_path / "out")
+        assert got == run_chain(chain["cfg"], chain["corpus"], tmp_path / "packed")
+        assert got["ad.ckpt"] == chain["ad"].read_bytes()
 
 
 class TestPretrain:
@@ -375,11 +394,11 @@ BENCH_SETS = {
 
 def manifest_of(corpus):
     """The manifest ``gen-corpus`` writes for ``corpus``, without the files."""
-    train, enroll, _ = split_counts(corpus.utts_per_speaker)
+    split = [name for name, n in zip(("train", "enroll", "test"), split_counts(corpus.utts_per_speaker))
+             for _ in range(n)]
     records = [
-        ManifestRecord(f"s{s:03d}_u{u:03d}_d{d}", s, d,
-                       "train" if u < train else "enroll" if u < train + enroll else "test",
-                       f"d{d}/s{s:03d}_u{u:03d}_d{d}.xdaf", corpus.frames_per_utt)
+        ManifestRecord(f"s{s:03d}_u{u:03d}_d{d}", s, d, split[u], f"d{d}/{split[u]}.xdaf",
+                       corpus.frames_per_utt)
         for s in range(corpus.num_speakers) for u in range(corpus.utts_per_speaker)
         for d in range(len(corpus.domains))
     ]
