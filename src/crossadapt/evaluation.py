@@ -203,6 +203,8 @@ class DomainEval:
     def __post_init__(self):
         if not 0.0 <= self.eer <= 1.0:
             raise ContractError(f"EER {self.eer} outside [0, 1]")
+        if not 0 <= self.n_targets <= self.n_trials:
+            raise ContractError(f"{self.n_targets} target trials of {self.n_trials} trials")
 
 
 @dataclass
@@ -286,8 +288,10 @@ def read_report(path) -> EvalReport:
                 DomainEval(int(kv["domain"].lstrip("d")), float(kv["eer"]),
                            int(kv["trials"]), int(kv["targets"]))
             )
-        except (KeyError, ValueError, ContractError) as exc:  # ContractError: EER outside [0, 1]
+        except (KeyError, ValueError, ContractError) as exc:  # ContractError: EER or counts out of range
             raise FileFormatError(f"malformed report line: {ln!r}") from exc
+    if len({d.domain_id for d in domains}) != len(domains):
+        raise FileFormatError(f"{path} lists a domain twice")
     return EvalReport(head["checkpoint"], head.get("stage", "?"), domains)
 
 

@@ -21,13 +21,15 @@ evaluated domain's whole trunk output is never held.  A canonical frame
 order makes each pooled row exactly invariant to the order of its frames
 and to its batch, and a clamp keeps expanded distances non-negative.
 
-The stacks change no bit.  Each crop's rows equal its own product's rows
-wherever a product row's bits do not depend on the other rows, and the
-stack's weight grads are each crop's own product summed over the crops in
-order, as adding them crop by crop did.  ``_rows_exact`` checks the row
-fact per group shape, for the forward ``x @ W`` and, in training, for the
-input gradient ``dpre @ W.T``; shapes that fail it, and windows under 8
-frames, run one by one through the same code.
+Training's contract is determinism: the same crops and parameters give
+the same bytes, whatever the shapes.  Every training group runs as one
+stack, and its weight grads are each crop's own product summed over the
+crops in order.  Where a product row's bits do not depend on the other
+rows, as at the default shapes, the stack also equals running each crop
+alone (tests/test_blas_rows.py).  Forward-only passes promise more: an
+utterance's rows do not depend on its batch.  So they stack only where
+``_rows_exact`` finds the row fact for every group's ``x @ W`` and
+windows have at least 8 frames, and otherwise run one window at a time.
 
 The trunk entry points take the first group to run.  Finetune and adapt
 freeze g1-g3, so they feed g4 with each crop's g3 rows from a
@@ -438,7 +440,7 @@ class Model:
         """Run frames [T x D], or a stack of windows [N x T x D], through
         groups ``first_group``..4; the shape is preserved but for D.
 
-        A 2-D input is a stack of one.  D is the input width of
+        A 2-D input runs as a stack of one.  D is the input width of
         ``first_group``: the input dim for group 1, else the width of the
         group below.  A stage whose lower groups are frozen feeds their
         output here (see ``FrozenPrefix``), so the train caches, and the
@@ -453,11 +455,12 @@ class Model:
         in_dim = ex.input_dim if first_group == 1 else ex.group_dims[first_group - 2]
         if x.shape[-1] != in_dim:
             raise StructuralError(f"group g{first_group} expects feature dim {in_dim}, got {x.shape[-1]}")
-        return self._groups_forward(x, first_group, NUM_GROUPS, mode)
+        h, caches = self._groups_forward(x.reshape((-1,) + x.shape[-2:]), first_group, NUM_GROUPS, mode)
+        return h.reshape(x.shape[:-1] + h.shape[-1:]), caches
 
     def _groups_forward(self, h, first: int, last: int, mode: str):
-        """The one group loop: groups ``first``..``last`` over frames [T, D]
-        or a stack of windows [N, T, D].
+        """The one group loop: groups ``first``..``last`` over a stack of
+        windows [N, T, D].
 
         Each window is spliced on its own, then one gemm per group covers
         the rows of every window.  Returns the output and, in train mode,
@@ -467,13 +470,12 @@ class Model:
         """
         h = np.asarray(h, dtype=np.float64)
         caches = [] if mode == "train" else None
-        stacked = h.ndim == 3
         for g in range(first - 1, last):
             spliced, sp_cache = splice_forward(h, self.config.extractor.context[g])
-            rows = spliced.reshape(-1, spliced.shape[-1]) if stacked else spliced
+            rows = spliced.reshape(-1, spliced.shape[-1])
             pre, af_cache = affine_forward(rows, self.params[f"g{g + 1}.W"], self.params[f"g{g + 1}.b"])
             out, relu_cache = relu_forward(pre)
-            h = out.reshape(h.shape[:-1] + (-1,)) if stacked else out
+            h = out.reshape(h.shape[:-1] + (-1,))
             if mode == "train":
                 caches.append((sp_cache, af_cache, relu_cache))
         return h, caches
@@ -497,11 +499,11 @@ class Model:
                  and all(np.shape(x) == shape for x in windows) and _rows_exact(self, first, last))
         per = max(1, _STACK_ROWS // t) if exact else 1
         for i in range(0, len(windows), per):
-            x = windows[i] if per == 1 else np.stack(windows[i : i + per])
             if last == NUM_GROUPS:
+                x = windows[i] if per == 1 else np.stack(windows[i : i + per])
                 h = self.extractor_forward(x, "eval", first)[0]
             else:
-                h = self._groups_forward(x, first, last, "eval")[0]
+                h = self._groups_forward(np.stack(windows[i : i + per]), first, last, "eval")[0]
             yield from h.reshape((-1,) + h.shape[-2:])
 
     def extractor_backward(self, dh, caches, grads):
@@ -509,19 +511,17 @@ class Model:
         ``dh`` is the gradient of the forward's output, of its shape.
 
         A stack's weight and bias grads are each window's own product
-        (a batched ``x.T @ dpre``) summed over the windows in order, so they
-        are bit-equal to running the windows one by one and adding each
-        one's grads in turn (tests/test_blas_rows.py).
+        (a batched ``x.T @ dpre``) summed over the windows in order, as
+        running the windows one by one and adding each one's grads in turn
+        would (tests/test_blas_rows.py).
         """
         first = NUM_GROUPS - len(caches)  # index of the lowest group run
         for g in range(NUM_GROUPS - 1, first - 1, -1):
             sp_cache, (x, w), relu_cache = caches[g - first]
             dpre = relu_backward(dh.reshape(relu_cache.shape), relu_cache)
-            windows = sp_cache[0][:-1]  # (T,) or (N, T)
-            dw = np.swapaxes(x.reshape(windows + (-1,)), -1, -2) @ dpre.reshape(windows + (-1,))
-            db = dpre.reshape(windows + (-1,)).sum(axis=-2)
-            if len(windows) == 2:
-                dw, db = dw.sum(axis=0), db.sum(axis=0)
+            windows = sp_cache[0][:-1]  # (N, T)
+            dw = (np.swapaxes(x.reshape(windows + (-1,)), -1, -2) @ dpre.reshape(windows + (-1,))).sum(axis=0)
+            db = dpre.reshape(windows + (-1,)).sum(axis=-2).sum(axis=0)
             _accum(grads, f"g{g + 1}.W", dw)
             _accum(grads, f"g{g + 1}.b", db)
             # the input gradient of the lowest group run is never used
@@ -534,15 +534,14 @@ class Model:
         ``utts`` is a list of frame matrices or a stack [N x T x D].  They
         are grouped by frame count, and the extractor runs from
         ``first_group`` over each group.  In train mode it runs once per
-        group, as one stack, when that gives each window's rows and grads
-        exactly (``_rows_exact``), otherwise once per utterance; in eval
-        mode it runs in stacks of about ``_STACK_ROWS`` rows
-        (``_forward_windows``).  In train mode each group is pooled by one
-        stacked ``lde_pool`` call; in eval mode each is pooled in chunks of
-        about ``_POOL_ROWS`` rows as the stacks come out, so no group's
-        whole trunk output is held, and the cache is empty.  Rows come back
-        in input order, and a row's bytes do not depend on which other
-        utterances share the list or its chunk.
+        group, as one stack, and the group is pooled by one stacked
+        ``lde_pool`` call; the result is deterministic, and equals running
+        each utterance alone where the row fact holds.  In eval mode it
+        runs in stacks of about ``_STACK_ROWS`` rows (``_forward_windows``),
+        pooled in chunks of about ``_POOL_ROWS`` rows as the stacks come
+        out, so no group's whole trunk output is held, and the cache is
+        empty; a row's bytes there do not depend on which other utterances
+        share the list or its chunk.  Rows come back in input order.
         """
         lengths = np.array([len(x) for x in utts])
         embs = np.empty((len(utts), self.config.lde.output_dim))
@@ -557,27 +556,20 @@ class Model:
                     chunk = rows[at : at + per]
                     embs[chunk] = lde_pool(np.stack(list(itertools.islice(outs, len(chunk)))), *lde)[0]
                 continue
-            if t >= _MIN_GEMM_ROWS and _rows_exact(self, first_group, NUM_GROUPS, backward=True):
-                stack = np.asarray(utts) if len(rows) == len(utts) else np.stack([utts[i] for i in rows])
-                out, ex_cache = self.extractor_forward(stack, mode, first_group)
-                windows = [(slice(None), ex_cache)]
-            else:
-                outs, ex_caches = zip(*(self.extractor_forward(utts[i], mode, first_group) for i in rows))
-                out = np.stack(outs)
-                windows = list(enumerate(ex_caches))
+            stack = np.asarray(utts) if len(rows) == len(utts) else np.stack([utts[i] for i in rows])
+            out, ex_cache = self.extractor_forward(stack, mode, first_group)
             embs[rows], lde_cache = lde_pool(out, *lde)
-            pools.append((rows, lde_cache, windows))
+            pools.append((rows, lde_cache, ex_cache))
         return embs, pools
 
     def encode_backward(self, demb, cache, grads):
         """Backward of ``encode`` for ``demb`` [N x K*D]; the trunk backward
         descends to the first group the forward ran."""
-        for rows, lde_cache, windows in cache:
+        for rows, lde_cache, ex_cache in cache:
             dstack, ddict, dlog = lde_pool_backward(demb[rows], lde_cache)
             _accum(grads, "lde.dict", ddict)
             _accum(grads, "lde.log_scale", dlog)
-            for at, ex_cache in windows:
-                self.extractor_backward(dstack[at], ex_cache, grads)
+            self.extractor_backward(dstack, ex_cache, grads)
 
     # -- per-domain blocks --------------------------------------------------
 
@@ -688,21 +680,19 @@ _POOL_ROWS = 8 * _STACK_ROWS
 
 
 @functools.lru_cache(maxsize=64)
-def _gemm_rows_exact(k: int, n: int, transposed: bool = False) -> bool:
+def _gemm_rows_exact(k: int, n: int) -> bool:
     """Whether the BLAS gives each row of an [m x k] @ [k x n] product with
-    m >= 8 the same bits whatever the other rows.  With ``transposed`` the
-    right operand is the transposed view of an [n x k] matrix, the way the
-    input gradient ``dpre @ W.T`` passes it, which OpenBLAS sends to other
-    kernels.  Kernels take rows in blocks of at most 16, so every row count
-    8..23 at 16 offsets meets every block tail; each slice is checked
-    against a 40-row product and against one of over 10^6 multiply-adds,
-    which leaves the small-matrix kernels.  Some shapes fail, so each one
-    is probed (tests/test_blas_rows.py pins the known ones)."""
+    m >= 8 the same bits whatever the other rows.  Kernels take rows in
+    blocks of at most 16, so every row count 8..23 at 16 offsets meets
+    every block tail; each slice is checked against a 40-row product and
+    against one of over 10^6 multiply-adds, which leaves the small-matrix
+    kernels.  Some shapes fail, so each one is probed
+    (tests/test_blas_rows.py pins the known ones)."""
     rng = np.random.default_rng(0)
     # rows past 40 only make the large product large; zeros cost no draws
     x = np.zeros((max(40, _SMALL_GEMM_MACS // (k * n) + 24), k))
     x[:40] = rng.normal(size=(40, k))
-    w = rng.normal(size=(n, k)).T if transposed else rng.normal(size=(k, n))
+    w = rng.normal(size=(k, n))
     fulls = [(x[:40] @ w).tobytes(), (x @ w)[:40].tobytes()]
     row = 8 * n  # bytes per product row
     for m in range(_MIN_GEMM_ROWS, 24):
@@ -713,20 +703,11 @@ def _gemm_rows_exact(k: int, n: int, transposed: bool = False) -> bool:
     return True
 
 
-def _rows_exact(model: Model, first: int, last: int, backward: bool = False) -> bool:
+def _rows_exact(model: Model, first: int, last: int) -> bool:
     """Whether windows of at least 8 frames can go through groups
-    ``first``..``last`` as one stack with every window's rows bit-equal to
-    running it alone.  That needs the row fact for each forward ``x @ W``;
-    with ``backward``, also for each input gradient ``dpre @ W.T`` the
-    backward computes, and groups at least 2 wide, since numpy sums a
-    one-wide grad over the windows pairwise, not in order."""
-    for g in range(first, last + 1):
-        k, n = model.params[f"g{g}.W"].shape
-        if not _gemm_rows_exact(k, n):
-            return False
-        if backward and (n < 2 or (g > first and not _gemm_rows_exact(n, k, transposed=True))):
-            return False
-    return True
+    ``first``..``last`` as one forward-only stack with every window's rows
+    bit-equal to running it alone: the row fact for each ``x @ W``."""
+    return all(_gemm_rows_exact(*model.params[f"g{g}.W"].shape) for g in range(first, last + 1))
 
 
 class FrozenPrefix:
@@ -884,6 +865,8 @@ def load_checkpoint(path):
                 name = read_exact(fh, name_len, "tensor name").decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise FileFormatError(f"checkpoint tensor name is not UTF-8: {exc}") from exc
+            if name in tensors:
+                raise FileFormatError(f"checkpoint lists tensor {name} twice")
             (rank,) = struct.unpack("<B", read_exact(fh, 1, "tensor rank"))
             dims = [struct.unpack("<I", read_exact(fh, 4, "tensor dims"))[0] for _ in range(rank)]
             payload = read_exact(fh, 4 * math.prod(dims), f"tensor {name} payload")

@@ -12,7 +12,8 @@ byte for byte.
 
 A step's crops are one stack [N x L x D] (every crop has ``crop_frames``
 rows, padded ones too), and the trainable trunk runs over the stack once
-per batch, not once per crop (``Model.encode``; bit-equal, see
+per batch, not once per crop (``Model.encode``; deterministic at every
+shape, and bit-equal to running each crop alone at the default ones, see
 ``model``).  Each stage selects the train records it samples from once, at
 stage start, and reads only the feature files that hold them, once each:
 pretrain and adapt the train file of every domain, finetune that of the

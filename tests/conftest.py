@@ -75,6 +75,21 @@ def set_arch_entry(path, slot, value):
     Path(path).write_bytes(bytes(blob))
 
 
+def duplicate_tensor(path, name):
+    """List tensor ``name`` of a checkpoint twice: a copy with an all-zero
+    payload follows the stored one, and the tensor count grows by one."""
+    blob = bytearray(Path(path).read_bytes())
+    key = struct.pack("<H", len(name)) + name.encode("utf-8")
+    at = blob.index(key)
+    rank = blob[at + len(key)]
+    header = len(key) + 1 + 4 * rank
+    size = 4 * int(np.prod(struct.unpack_from(f"<{rank}I", blob, at + len(key) + 1)))
+    blob[at + header + size : at + header + size] = blob[at : at + header] + bytes(size)
+    count_at = 4 + 4 + 1 + 8  # past the magic, version, stage and step
+    struct.pack_into("<I", blob, count_at, struct.unpack_from("<I", blob, count_at)[0] + 1)
+    Path(path).write_bytes(bytes(blob))
+
+
 def jitter_params(model, seed=999, scale=0.1):
     """Nudge every parameter off its init so fresh-model activations cannot
     collapse to exact zeros at unit-test widths."""

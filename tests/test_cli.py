@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -20,7 +21,7 @@ from crossadapt.cli import main
 from crossadapt.corpus import CorpusManifest
 from crossadapt.evaluation import read_report
 from crossadapt.model import load_checkpoint, save_checkpoint
-from conftest import set_arch_entry
+from conftest import duplicate_tensor, set_arch_entry
 
 SRC = str(Path(crossadapt.__file__).resolve().parent.parent)
 
@@ -206,6 +207,15 @@ class TestExitCodes:
                    "--out", str(tmp_path / "r.report")])
         assert rc == 2
 
+    def test_duplicate_tensor_exits_2(self, env, tmp_path):
+        bogus = tmp_path / "twice.ckpt"
+        shutil.copy(env["ft"], bogus)
+        duplicate_tensor(bogus, "g1.W")
+        out = tmp_path / "r.report"
+        rc = main(["-q", "evaluate", "--ckpt", str(bogus), "--corpus", str(env["corpus"]), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "finetune"])
     def test_misshapen_tensor_exits_2(self, env, tmp_path, command):
         """A tensor whose shape disagrees with the architecture record ended
@@ -360,12 +370,23 @@ class TestExitCodes:
     @pytest.mark.parametrize("mangle", [
         lambda text: text.replace("stage=", "stage ", 1),
         lambda text: text.replace("trials=", "trials ", 1),
-    ], ids=["header", "domain-line"])
-    def test_report_token_without_equals_exits_2(self, env, tmp_path, mangle):
+        # a domain listed twice once loaded, the last line winning, and
+        # counts went unchecked
+        lambda text: text + text.splitlines(keepends=True)[1],
+        lambda text: text + re.sub(r"eer=\S+", "eer=0.5", text.splitlines(keepends=True)[2]),
+        lambda text: re.sub(r"trials=\d+ targets=\d+", "trials=-3 targets=9", text, count=1),
+        lambda text: re.sub(r"targets=\d+", "targets=-1", text, count=1),
+        lambda text: re.sub(r"trials=(\d+) targets=\d+", r"trials=\1 targets=1\1", text, count=1),
+    ], ids=["header-token-without-equals", "domain-token-without-equals", "repeated-line",
+            "a-second-eer-for-one-domain", "negative-trials", "negative-targets", "more-targets-than-trials"])
+    def test_malformed_report_exits_2(self, env, tmp_path, mangle):
+        text = env["ad_rep"].read_text()
+        assert mangle(text) != text
         bad = tmp_path / "bad.report"
-        bad.write_text(mangle(env["ad_rep"].read_text()))
-        rc = main(["-q", "report", "--baseline", str(env["base_rep"]), "--adapted", str(bad)])
-        assert rc == 2
+        bad.write_text(mangle(text))
+        for baseline, adapted in ((env["base_rep"], bad), (bad, env["ad_rep"])):
+            rc = main(["-q", "report", "--baseline", str(baseline), "--adapted", str(adapted)])
+            assert rc == 2
 
     @pytest.mark.parametrize("command", ["pretrain", "finetune", "adapt", "evaluate", "report"])
     def test_unwritable_out_exits_2_before_training(self, env, tmp_path, monkeypatch, command):

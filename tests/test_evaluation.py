@@ -368,6 +368,21 @@ class TestReports:
                 except FileFormatError:
                     pass
 
+    @pytest.mark.parametrize("trials,targets", [(-3, 9), (5, 9), (5, -1), (-1, -1)])
+    def test_counts_outside_the_trials_rejected(self, trials, targets):
+        with pytest.raises(ContractError):
+            DomainEval(0, 0.1, trials, targets)
+
+    @pytest.mark.parametrize("line", ["domain=d1 eer=0.2 trials=40 targets=10",
+                                      "domain=d3 eer=0.01 trials=-3 targets=9"])
+    def test_domain_twice_or_impossible_counts_is_a_format_error(self, tmp_path, line):
+        _, new = self.reports()
+        path = tmp_path / "r.report"
+        write_report(path, new)
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(FileFormatError):
+            read_report(path)
+
     def test_table_reproduces_rd_row(self):
         base, new = self.reports()
         table = format_table(new, base)

@@ -35,7 +35,7 @@ from crossadapt.model import (
     splice_forward,
     trainable_names,
 )
-from conftest import default_like_config, jitter_params, micro_config, set_arch_entry
+from conftest import default_like_config, duplicate_tensor, jitter_params, micro_config, set_arch_entry
 from gradcheck import grad_check
 
 
@@ -461,35 +461,57 @@ def per_crop_encode(model, utts, first_group, demb):
     return embs, grads
 
 
+CONTEXTS = [(2, 1, 1, 0), (0, 1, 0, 2), (1, 0, 2, 1)]
+EXACT_WIDTHS = [(24, 24, 24, 24), (8, 16, 6, 24), (5, 7, 3, 4)]
+# trunks where no row of a group's x @ W or dpre @ W.T depends on the other
+# rows of its product, so a stack equals running each crop alone; the
+# spliced widths of (5, 7, 3, 4) break that at the other two contexts
+EXACT_TRUNKS = [(w, c) for w in EXACT_WIDTHS[:2] for c in CONTEXTS] + [(EXACT_WIDTHS[2], CONTEXTS[1])]
+# widths where it need not hold: 17 and 33 fail the row probe, 12 and 20
+# differ between small and large products, 32 in the input gradient, and
+# a one-wide g4 sums its grads over the stack pairwise
+OTHER_WIDTHS = [(17, 24, 33, 24), (24, 24, 24, 17), (12, 20, 12, 12), (24, 32, 24, 24), (6, 5, 7, 1)]
+
+
+def trunk_model(widths, context, seed, input_dim=20):
+    config = ModelConfig(
+        extractor=ExtractorConfig(input_dim, widths, context),
+        lde=LdeConfig(num_components=3, component_dim=widths[3]),
+        subnet=SubnetConfig(front_dims=(5, 4), back_dims=(4, 3), num_domains=2),
+        num_speakers=3,
+    )
+    return jitter_params(Model.create(config, seed=seed % 1000), seed=seed, scale=0.3)
+
+
+def in_dim_of(model, first_group):
+    ex = model.config.extractor
+    return ex.input_dim if first_group == 1 else ex.group_dims[first_group - 2]
+
+
+def train_pass(model, x, first_group, demb):
+    """One training ``encode`` and ``encode_backward``: embeddings and grads."""
+    embs, cache = model.encode(x, first_group=first_group)
+    grads = {}
+    model.encode_backward(demb, cache, grads)
+    return embs, grads
+
+
 class TestStackedTrunk:
     @given(
         st.sampled_from([1, 2, 7, 104]),
         st.sampled_from([8, 9, 60]),
         st.sampled_from([1, 4]),
-        # widths 17 and 33 fail the row probe and run per crop; 12 and 20
-        # differ between small and large products, 32 in the input gradient;
-        # a one-wide g4 would sum its grads pairwise
-        st.sampled_from([(24, 24, 24, 24), (8, 16, 6, 24), (5, 7, 3, 4), (17, 24, 33, 24),
-                         (24, 24, 24, 17), (12, 20, 12, 12), (24, 32, 24, 24), (6, 5, 7, 1)]),
-        st.sampled_from([(2, 1, 1, 0), (0, 1, 0, 2), (1, 0, 2, 1)]),
+        st.sampled_from(EXACT_TRUNKS),
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=100, deadline=None)
-    def test_stack_equals_the_per_crop_trunk_bit_for_bit(self, n, t, first_group, widths, context, seed):
+    def test_stack_equals_the_per_crop_trunk_bit_for_bit(self, n, t, first_group, trunk, seed):
+        widths, context = trunk
         rng = np.random.default_rng(seed)
-        config = ModelConfig(
-            extractor=ExtractorConfig(20, widths, context),
-            lde=LdeConfig(num_components=3, component_dim=widths[3]),
-            subnet=SubnetConfig(front_dims=(5, 4), back_dims=(4, 3), num_domains=2),
-            num_speakers=3,
-        )
-        model = jitter_params(Model.create(config, seed=seed % 1000), seed=seed, scale=0.3)
-        in_dim = 20 if first_group == 1 else widths[first_group - 2]
-        x = rng.normal(size=(n, t, in_dim))
-        demb = rng.normal(size=(n, config.lde.output_dim))
-        embs, cache = model.encode(x, first_group=first_group)
-        grads = {}
-        model.encode_backward(demb, cache, grads)
+        model = trunk_model(widths, context, seed)
+        x = rng.normal(size=(n, t, in_dim_of(model, first_group)))
+        demb = rng.normal(size=(n, model.config.lde.output_dim))
+        embs, grads = train_pass(model, x, first_group, demb)
         want_embs, want = per_crop_encode(model, list(x), first_group, demb)
         assert embs.tobytes() == want_embs.tobytes()
         assert set(grads) == set(want) == {"lde.dict", "lde.log_scale",
@@ -497,26 +519,76 @@ class TestStackedTrunk:
         for name in grads:
             assert grads[name].tobytes() == want[name].tobytes(), name
 
-    @pytest.mark.parametrize("widths,t,first_group,stacks", [
-        ((24, 24, 24, 24), 60, 1, True),
-        ((24, 24, 24, 24), 7, 4, False),  # fewer than 8 rows
-        ((24, 24, 24, 17), 60, 4, False),  # x @ W fails the row probe: n % 8 == 1
-        ((24, 32, 24, 24), 60, 1, False),  # dpre @ W.T of the 32-wide g2 fails it
-        ((24, 32, 24, 24), 60, 4, True),  # from g4 no input gradient is computed
-        ((24, 24, 24, 1), 60, 4, False),  # a one-wide grad would sum pairwise
-    ])
-    def test_gate_stacks_only_exact_shapes(self, widths, t, first_group, stacks):
-        config = ModelConfig(
-            extractor=ExtractorConfig(20, widths, (2, 1, 1, 0)),
-            lde=LdeConfig(num_components=3, component_dim=widths[3]),
-            subnet=SubnetConfig(front_dims=(5, 4), back_dims=(4, 3), num_domains=2),
-            num_speakers=3,
-        )
-        model = Model.create(config, seed=0)
-        in_dim = 20 if first_group == 1 else widths[first_group - 2]
-        _, cache = model.encode(np.ones((3, t, in_dim)), first_group=first_group)
-        (_, _, windows), = cache
-        assert (len(windows) == 1) is stacks
+    @given(
+        st.sampled_from([1, 2, 7, 104]),
+        st.sampled_from([7, 8, 60]),
+        st.sampled_from([1, 4]),
+        st.sampled_from(EXACT_WIDTHS + OTHER_WIDTHS),
+        st.sampled_from(CONTEXTS),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(7, 7, 1, EXACT_WIDTHS[0], CONTEXTS[0], 1)  # crops under 8 frames
+    @example(104, 60, 1, OTHER_WIDTHS[3], CONTEXTS[0], 2)  # the input gradient of g2
+    @example(104, 60, 4, OTHER_WIDTHS[4], CONTEXTS[0], 3)  # a one-wide g4
+    @settings(max_examples=60, deadline=None)
+    def test_stack_is_deterministic_and_close_to_the_per_crop_trunk(self, n, t, first_group, widths,
+                                                                     context, seed):
+        """At every shape, those where the stack need not equal each crop
+        run alone included, a training pass gives the same bytes every
+        time, within rounding of the per-crop trunk."""
+        rng = np.random.default_rng(seed)
+        model = trunk_model(widths, context, seed)
+        x = rng.normal(size=(n, t, in_dim_of(model, first_group)))
+        demb = rng.normal(size=(n, model.config.lde.output_dim))
+        embs, grads = train_pass(model, x, first_group, demb)
+        again_embs, again = train_pass(model, x.copy(), first_group, demb)
+        assert embs.tobytes() == again_embs.tobytes()
+        assert set(grads) == set(again)
+        for name in grads:
+            assert grads[name].tobytes() == again[name].tobytes(), name
+        want_embs, want = per_crop_encode(model, list(x), first_group, demb)
+        assert set(grads) == set(want)
+        for name, got, ref in [("embs", embs, want_embs), *((k, grads[k], want[k]) for k in grads)]:
+            # a sum's rounding scales with its terms, not with the sum: the
+            # log-scale grads cancel terms far larger than themselves
+            assert np.allclose(got, ref, rtol=1e-12, atol=1e-9 * max(1.0, np.abs(ref).max())), name
+
+    @pytest.mark.parametrize("t", [7, 60])
+    @pytest.mark.parametrize("first_group", [1, 4])
+    @pytest.mark.parametrize("widths", EXACT_WIDTHS + OTHER_WIDTHS)
+    def test_training_runs_one_stack_per_length_group(self, monkeypatch, widths, t, first_group):
+        model = trunk_model(widths, (2, 1, 1, 0), seed=0)
+        in_dim = in_dim_of(model, first_group)
+        rng = np.random.default_rng(t)
+        utts = [rng.normal(size=(t + (i % 2), in_dim)) for i in range(5)]
+        seen = []
+        forward = Model.extractor_forward
+
+        def spy(self, x, mode="train", first_group=1):
+            seen.append(np.shape(x))
+            return forward(self, x, mode, first_group)
+
+        monkeypatch.setattr(Model, "extractor_forward", spy)
+        _, cache = model.encode(utts, first_group=first_group)
+        assert seen == [(3, t, in_dim), (2, t + 1, in_dim)]
+        assert len(cache) == 2
+
+    def test_gradients_match_finite_differences_where_rows_depend_on_the_stack(self):
+        """A stack of 7-frame crops through a one-wide g4: the old per-crop
+        fallback's shapes, now stacked, against central differences."""
+        rng = np.random.default_rng(7)
+        model = trunk_model((5, 7, 3, 1), (1, 0, 1, 0), seed=7, input_dim=4)
+        x = rng.normal(size=(3, 7, 4))
+        demb = rng.normal(size=(3, model.config.lde.output_dim))
+        names = [n for n in sorted(model.params) if n.startswith(("g", "lde."))]
+
+        def f(point):
+            for name in names:
+                model.params[name][...] = point[name]
+            embs, grads = train_pass(model, x, 1, demb)
+            return float(np.sum(embs * demb)), {name: grads[name] for name in names}
+
+        assert grad_check(f, {name: model.params[name].copy() for name in names}) < 1e-4
 
 
 def reference_g3(model, crop):
@@ -786,6 +858,15 @@ class TestCheckpoints:
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, micro_model, "adapt", 1)
         with pytest.raises(FileFormatError, match=f"misshapen=\\['{name}'\\]"):
+            load_checkpoint(path)
+
+    def test_duplicate_tensor_rejected(self, micro_model, tmp_path):
+        """A later copy of a tensor once replaced the first without a word:
+        here an all-zero g1.W."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, micro_model, "adapt", 1)
+        duplicate_tensor(path, "g1.W")
+        with pytest.raises(FileFormatError, match="g1.W twice"):
             load_checkpoint(path)
 
     def test_trailing_garbage_rejected(self, micro_model, tmp_path):

@@ -310,6 +310,19 @@ class TestChain:
             assert meta.stage == stage
             assert meta.step == getattr(chain["cfg"], stage).steps
 
+    def test_same_bytes_twice_where_a_stack_need_not_equal_each_crop(self, chain, tmp_path):
+        """7-frame crops and a one-wide g4: shapes where a stacked product's
+        rows and grads may differ from each crop's own, and the trunk still
+        trains one stack per batch.  The chain writes the same bytes twice."""
+        raw = tiny_raw()
+        raw["model"]["group_dims"] = [6, 6, 6, 1]
+        for stage in ("pretrain", "finetune", "adapt"):
+            raw[stage]["crop_frames"] = 7
+        cfg = build_config(raw)
+        first = run_chain(cfg, chain["corpus"], tmp_path / "first")
+        assert set(first) == {"pre.ckpt", "ft.ckpt", "ad.ckpt", "ft.report", "ad.report"}
+        assert run_chain(cfg, chain["corpus"], tmp_path / "second") == first
+
 
 class TestFinetune:
     def test_requires_pretrain_stage(self, chain, tmp_path):
