@@ -198,7 +198,7 @@ class CorpusManifest:
             raise FileFormatError(f"manifest header missing field {exc}") from exc
         except ValueError as exc:
             raise FileFormatError(f"malformed manifest header: {lines[0]!r}") from exc
-        records, seen = [], set()
+        records, seen, last = [], set(), {}
         for ln in lines[1:]:
             if not ln.strip():
                 continue
@@ -214,6 +214,10 @@ class CorpusManifest:
             if utt_id in seen:
                 raise FileFormatError(f"manifest lists utterance {utt_id!r} twice")
             seen.add(utt_id)
+            order = (records[-1].speaker_id, len(utt_id), utt_id)  # generation order: s999 before s1000
+            if order < last.setdefault(relpath, order):
+                raise FileFormatError(f"manifest lists {utt_id!r} after a later utterance of {relpath}")
+            last[relpath] = order
             # a feature file lies under the corpus root
             if relpath.startswith("/") or ".." in relpath.split("/"):
                 raise FileFormatError(f"manifest path {relpath!r} leaves the corpus")
@@ -244,19 +248,22 @@ class CorpusManifest:
                 raise
             _check_frames(path, frames, total)
 
-    def read_frames(self, root, records) -> dict:
+    def read_frames(self, root, records, input_dim: int) -> dict:
         """``utt_id -> frames`` for ``records`` (records of this manifest), in
         their order, each a read-only float32 view of its rows.  Every file
         they name is read once, and refused unless it holds the frames of
-        all the records that name it."""
+        all the records that name it, ``input_dim`` values a frame."""
         root = os.fspath(root)
         starts, totals = self._layout()
         files = {}
         for r in records:
             if r.relpath not in files:
                 path = os.path.join(root, r.relpath)
-                files[r.relpath] = read_features(path)
-                _check_frames(path, len(files[r.relpath]), totals[r.relpath])
+                frames = files[r.relpath] = read_features(path)
+                _check_frames(path, len(frames), totals[r.relpath])
+                if frames.shape[1] != input_dim:
+                    raise StructuralError(f"{path} holds frames of {frames.shape[1]} values, "
+                                          f"the model takes {input_dim}")
         return {r.utt_id: files[r.relpath][starts[r.utt_id] : starts[r.utt_id] + r.frames]
                 for r in records}
 

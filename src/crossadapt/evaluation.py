@@ -24,6 +24,7 @@ on the ranking of scores, never their scale.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -233,7 +234,7 @@ def evaluate_domain(model, stage, manifest: CorpusManifest, root, domain_id):
     if not enroll or not test:
         raise ContractError(f"domain {domain_id} lacks enroll or test utterances")
     # one trunk pass over the domain
-    frames = manifest.read_frames(root, enroll + test)
+    frames = manifest.read_frames(root, enroll + test, model.config.extractor.input_dim)
     embs = embed_utterances(list(frames.values()), model, stage, domain_id)
 
     by_speaker = {}
@@ -284,10 +285,10 @@ def read_report(path) -> EvalReport:
             continue
         try:
             kv = dict(tok.split("=", 1) for tok in ln.split())
-            domains.append(
-                DomainEval(int(kv["domain"].lstrip("d")), float(kv["eer"]),
-                           int(kv["trials"]), int(kv["targets"]))
-            )
+            domain = re.fullmatch(r"d([0-9]+)", kv["domain"])
+            if domain is None:
+                raise ValueError
+            domains.append(DomainEval(int(domain[1]), float(kv["eer"]), int(kv["trials"]), int(kv["targets"])))
         except (KeyError, ValueError, ContractError) as exc:  # ContractError: EER or counts out of range
             raise FileFormatError(f"malformed report line: {ln!r}") from exc
     if len({d.domain_id for d in domains}) != len(domains):

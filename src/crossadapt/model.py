@@ -27,9 +27,8 @@ stack, and its weight grads are each crop's own product summed over the
 crops in order.  Where a product row's bits do not depend on the other
 rows, as at the default shapes, the stack also equals running each crop
 alone (tests/test_blas_rows.py).  Forward-only passes promise more: an
-utterance's rows do not depend on its batch.  So they stack only where
-``_rows_exact`` finds the row fact for every group's ``x @ W`` and
-windows have at least 8 frames, and otherwise run one window at a time.
+utterance's rows do not depend on its batch, on any BLAS kernel, as every
+product of a T-frame window has one height (``Model._forward_windows``).
 
 The trunk entry points take the first group to run.  Finetune and adapt
 freeze g1-g3, so they feed g4 with each crop's g3 rows from a
@@ -38,7 +37,7 @@ edge rows at each end (R the summed g1-g3 context) from one stacked pass
 over every crop's 2R-frame end windows.  A stage builds the table only
 when the crop frames it saves outnumber the frames it costs (pipeline).
 Only the edge rows see the crop's replicated edges, so the rows equal
-running the crop whole, bit for bit, under the same row fact.
+running the crop whole, bit for bit, under the row fact of training.
 
 All forward passes return caches sufficient for exact hand-derived
 backprop; the tests check every backward here against central differences.
@@ -211,6 +210,16 @@ def _scatter_index(n: int, t: int, context: int, d: int) -> np.ndarray:
     flat = (np.arange(n)[:, None] * (t * d) + flat).ravel()
     flat.flags.writeable = False
     return flat
+
+
+@functools.lru_cache(maxsize=64)
+def _stack_index(n: int, t: int, context: int, height: int) -> np.ndarray:
+    """Source row in a stack of n t-frame windows of each spliced slot of a
+    ``height``-row product: each window's slots, then the first row's."""
+    idx = (np.arange(n)[:, None, None] * t + _context_index(t, context)).reshape(n * t, -1)
+    idx = np.concatenate([idx, np.repeat(idx[:1], height - n * t, axis=0)]).reshape(-1)
+    idx.flags.writeable = False
+    return idx
 
 
 def splice_forward(x, context: int):
@@ -436,7 +445,7 @@ class Model:
 
     # -- trunk ------------------------------------------------------------
 
-    def extractor_forward(self, x, mode: str = "train", first_group: int = 1):
+    def extractor_forward(self, x, mode: str = "train", first_group: int = 1, height: int = 0):
         """Run frames [T x D], or a stack of windows [N x T x D], through
         groups ``first_group``..4; the shape is preserved but for D.
 
@@ -444,7 +453,8 @@ class Model:
         ``first_group``: the input dim for group 1, else the width of the
         group below.  A stage whose lower groups are frozen feeds their
         output here (see ``FrozenPrefix``), so the train caches, and the
-        backward, cover only the groups that train.
+        backward, cover only the groups that train.  ``height``: see
+        ``_groups_forward``.
         """
         ex = self.config.extractor
         if not 1 <= first_group <= NUM_GROUPS:
@@ -455,56 +465,66 @@ class Model:
         in_dim = ex.input_dim if first_group == 1 else ex.group_dims[first_group - 2]
         if x.shape[-1] != in_dim:
             raise StructuralError(f"group g{first_group} expects feature dim {in_dim}, got {x.shape[-1]}")
-        h, caches = self._groups_forward(x.reshape((-1,) + x.shape[-2:]), first_group, NUM_GROUPS, mode)
+        h, caches = self._groups_forward(x.reshape((-1,) + x.shape[-2:]), first_group, NUM_GROUPS, mode, height)
         return h.reshape(x.shape[:-1] + h.shape[-1:]), caches
 
-    def _groups_forward(self, h, first: int, last: int, mode: str):
+    def _groups_forward(self, h, first: int, last: int, mode: str, height: int = 0):
         """The one group loop: groups ``first``..``last`` over a stack of
         windows [N, T, D].
 
         Each window is spliced on its own, then one gemm per group covers
-        the rows of every window.  Returns the output and, in train mode,
-        one cache per group run.  Frames come in as stored (float32 from
+        the rows of every window, and copies of the first row up to
+        ``height``.  Returns the output and, in train mode, one cache per
+        group run.  Frames come in as stored (float32 from
         ``corpus.read_features``) or as float64 rows of a lower group; this
         is where they become float64, exactly, before any arithmetic.
         """
         h = np.asarray(h, dtype=np.float64)
+        n, t = h.shape[:2]
+        rows = h.reshape(n * t, -1)
         caches = [] if mode == "train" else None
         for g in range(first - 1, last):
-            spliced, sp_cache = splice_forward(h, self.config.extractor.context[g])
-            rows = spliced.reshape(-1, spliced.shape[-1])
+            context = self.config.extractor.context[g]
+            if not height:
+                spliced, sp_cache = splice_forward(rows.reshape(n, t, -1), context)
+                rows = spliced.reshape(n * t, -1)
+            elif context or len(rows) < height:  # one gather splices every window and fills the height
+                rows = np.take(rows, _stack_index(n, t, context, height), axis=0).reshape(height, -1)
             pre, af_cache = affine_forward(rows, self.params[f"g{g + 1}.W"], self.params[f"g{g + 1}.b"])
-            out, relu_cache = relu_forward(pre)
-            h = out.reshape(h.shape[:-1] + (-1,))
+            rows, relu_cache = relu_forward(pre)
             if mode == "train":
                 caches.append((sp_cache, af_cache, relu_cache))
-        return h, caches
+        return rows[: n * t].reshape(n, t, -1), caches
 
     def _forward_windows(self, windows, first: int, last: int):
         """Yield the output [T, D'] of groups ``first``..``last``, in eval
         mode, of each of the equal-length windows [T, D], in order.
 
-        The windows run in stacks of about ``_STACK_ROWS`` rows, one gemm per
-        group per stack, when that gives each window's rows exactly: T >= 8
-        and the row fact for every group's ``x @ W`` (``_rows_exact``).
-        Otherwise each window runs alone.  A pass up to g4 goes through
+        The windows run in stacks of ``per = max(1, _STACK_ROWS // T)``,
+        and every product has ``per * T`` rows rounded up to a multiple of
+        16, the last stack's and a lone window's too.  At a fixed height a
+        row's bits depend on neither the other rows nor where it sits
+        (tests/test_blas_rows.py), so a window's rows do not depend on its
+        batch and no window runs alone.  A pass up to g4 goes through
         ``extractor_forward``, the one trunk entry point.  Each output is a
         view of its own stack's output: one block per stack, not one for all
         the windows, leaves the heap less fragmented.
         """
         shape = np.shape(windows[0])
+        if len(shape) != 2 or any(np.shape(x) != shape for x in windows):
+            for x in windows:  # extractor_forward names a malformed window's fault
+                self.extractor_forward(x, "eval", first)
+            raise StructuralError("the windows of one length must be [T x D] matrices of one width")
         t = shape[0]
-        # a malformed window runs alone, so extractor_forward names its fault
-        exact = (len(shape) == 2 and t >= _MIN_GEMM_ROWS and first >= 1
-                 and all(np.shape(x) == shape for x in windows) and _rows_exact(self, first, last))
-        per = max(1, _STACK_ROWS // t) if exact else 1
+        per = max(1, _STACK_ROWS // t)
+        # kernels take rows in blocks of up to 16, and a block's tail rows may take another path
+        height = -(-per * t // 16) * 16
         for i in range(0, len(windows), per):
+            stack = np.stack(windows[i : i + per])
             if last == NUM_GROUPS:
-                x = windows[i] if per == 1 else np.stack(windows[i : i + per])
-                h = self.extractor_forward(x, "eval", first)[0]
+                yield from self.extractor_forward(stack, "eval", first, height)[0]
             else:
-                h = self._groups_forward(np.stack(windows[i : i + per]), first, last, "eval")[0]
-            yield from h.reshape((-1,) + h.shape[-2:])
+                yield from self._groups_forward(stack, first, last, "eval", height)[0]
 
     def extractor_backward(self, dh, caches, grads):
         """Accumulate the parameter grads of every group the forward ran;
@@ -666,48 +686,13 @@ def _accum(grads: dict, name: str, value) -> None:
 _MIN_GEMM_ROWS = 8
 
 
-# OpenBLAS (SkylakeX kernels) runs products of at most 10^6 multiply-adds
-# through separate small-matrix kernels
-_SMALL_GEMM_MACS = 10**6
-
-
-# rows per stack of a forward-only trunk pass: a group's input and output stay in L2
+# rows per stack of a forward-only trunk pass: a group's input and output stay in L2;
+# no gemm shape is probed, as a window's products have one height (Model._forward_windows)
 _STACK_ROWS = 512
 
 # trunk output rows per lde_pool call of an eval-mode encode: bounds its
 # memory, while pooling each stack alone was slower
 _POOL_ROWS = 8 * _STACK_ROWS
-
-
-@functools.lru_cache(maxsize=64)
-def _gemm_rows_exact(k: int, n: int) -> bool:
-    """Whether the BLAS gives each row of an [m x k] @ [k x n] product with
-    m >= 8 the same bits whatever the other rows.  Kernels take rows in
-    blocks of at most 16, so every row count 8..23 at 16 offsets meets
-    every block tail; each slice is checked against a 40-row product and
-    against one of over 10^6 multiply-adds, which leaves the small-matrix
-    kernels.  Some shapes fail, so each one is probed
-    (tests/test_blas_rows.py pins the known ones)."""
-    rng = np.random.default_rng(0)
-    # rows past 40 only make the large product large; zeros cost no draws
-    x = np.zeros((max(40, _SMALL_GEMM_MACS // (k * n) + 24), k))
-    x[:40] = rng.normal(size=(40, k))
-    w = rng.normal(size=(k, n))
-    fulls = [(x[:40] @ w).tobytes(), (x @ w)[:40].tobytes()]
-    row = 8 * n  # bytes per product row
-    for m in range(_MIN_GEMM_ROWS, 24):
-        for a in range(16):
-            part = (x[a : a + m] @ w).tobytes()
-            if any(part != full[a * row : (a + m) * row] for full in fulls):
-                return False
-    return True
-
-
-def _rows_exact(model: Model, first: int, last: int) -> bool:
-    """Whether windows of at least 8 frames can go through groups
-    ``first``..``last`` as one forward-only stack with every window's rows
-    bit-equal to running it alone: the row fact for each ``x @ W``."""
-    return all(_gemm_rows_exact(*model.params[f"g{g}.W"].shape) for g in range(first, last + 1))
 
 
 class FrozenPrefix:
@@ -720,24 +705,21 @@ class FrozenPrefix:
     whole utterance.  So a crop of a tabled utterance reads its middle rows
     from ``table`` and takes its R edge rows at each end from the 2R-frame
     window there; the windows of all such crops go through g1-g3 in one
-    stacked [2N, 2R, D] pass, one gemm per group.  The rows are exact, not
-    close: a gemm row's bits do not depend on the other rows of a product
-    of at least 8 rows, which is checked per group shape before any table
-    is built.  Crops that are padded, have at most 2R or fewer than 8
-    frames, come from an untabled utterance, or would leave the edge pass
-    under 8 rows go through g1-g3 whole.  They, and the utterances the
-    table is built from, grouped by length, run in stacks of about
-    ``_STACK_ROWS`` rows where that is exact (``Model._forward_windows``).
+    stacked [2N, 2R, D] pass, one gemm per group.  Crops that are padded,
+    have at most 2R or fewer than 8 frames, come from an untabled
+    utterance, or would leave the edge pass under 8 rows go through g1-g3
+    whole.  They, and the utterances the table is built from, run as
+    forward-only stacks (``Model._forward_windows``).  A tabled crop's rows
+    equal running it whole where a gemm row of a product of at least 8 rows
+    keeps its bits at any height, as at the default shapes on the default
+    kernel; training promises only determinism, so no shape is probed.
     """
 
     def __init__(self, model: Model, utterances: dict):
         """Table g1-g3 over each frame matrix in ``utterances`` (utterance
-        id -> frames).  An empty dict, or a group shape whose gemm rows
-        depend on their product, builds no table."""
+        id -> frames); an empty dict builds no table."""
         self.model = model
         self.halo = sum(model.config.extractor.context[:FROZEN_GROUPS])
-        if utterances and not _rows_exact(model, 1, FROZEN_GROUPS):
-            utterances = {}
         by_length = {}
         for u, x in utterances.items():
             by_length.setdefault(len(x), []).append(u)

@@ -28,8 +28,8 @@ they table g1-g3 over the train utterances they sample from when that
 pays: a tabled crop runs g1-g3 over its 4R edge-window frames instead of
 its L frames, so the table is built when n_crops * (L - 4R) exceeds the
 stage's train frame total.  The rule reads only the config and the
-manifest, and a table changes no byte, only the time and memory a stage
-takes.
+manifest, and at the default shapes on the default kernel a table changes
+no byte, only the time and memory a stage takes.
 
 A step allocates and frees numpy temporaries of a few hundred KB; the CLI
 has glibc keep those pages between steps (``cli._keep_freed_pages``), so
@@ -72,15 +72,16 @@ __all__ = [
 ]
 
 
-def load_feature_store(manifest: CorpusManifest, root, stage: str) -> dict:
+def load_feature_store(manifest: CorpusManifest, root, stage: str, input_dim: int) -> dict:
     """The frames of the train records a ``stage`` samples from, by
     utterance in manifest order, as ``CorpusManifest.read_frames`` returns
     them: read-only float32 views, each feature file read once.  A file
     whose frame count is not its records' total is refused: the stage
     would train on misplaced rows, and ``_table_pays`` counts the
-    manifest's frames."""
+    manifest's frames.  So is one whose frames are not ``input_dim``
+    wide, the model's input."""
     sampled = {r.utt_id for records in _sampled_records(manifest, stage) for r in records}
-    return manifest.read_frames(root, [r for r in manifest.records if r.utt_id in sampled])
+    return manifest.read_frames(root, [r for r in manifest.records if r.utt_id in sampled], input_dim)
 
 
 def crop_utterance(features: np.ndarray, crop_frames: int, rng):
@@ -243,7 +244,7 @@ def pretrain(corpus_root, app: AppConfig, out_path):
         seed=cfg.seed,
         with_subnets=False,
     )
-    store = load_feature_store(manifest, corpus_root, "pretrain")
+    store = load_feature_store(manifest, corpus_root, "pretrain", model.config.extractor.input_dim)
     _seed_dictionary(model, records, store, cfg.seed)
     step = _supervised_step(model, records, store, cfg)
     return _train(model, "pretrain", cfg, step, lambda k: noam_lr(k + 1, cfg.schedule), out_path)
@@ -272,7 +273,7 @@ def finetune(init_ckpt, corpus_root, app: AppConfig, out_path):
     manifest = CorpusManifest.load(corpus_root / "manifest.tsv")
     cfg = app.finetune
     lr = 0.1 * noam_peak(app.pretrain.schedule)
-    store = load_feature_store(manifest, corpus_root, "finetune")
+    store = load_feature_store(manifest, corpus_root, "finetune", model.config.extractor.input_dim)
     records = _sampled_records(manifest, "finetune")
     prefix = _frozen_prefix(model, records, store, cfg)
     step = _supervised_step(model, records[0], store, cfg, prefix)
@@ -297,7 +298,7 @@ def adapt(init_ckpt, corpus_root, app: AppConfig, out_path):
         )
     cfg = app.adapt
     model.ensure_subnets(cfg.seed)
-    store = load_feature_store(manifest, corpus_root, "adapt")
+    store = load_feature_store(manifest, corpus_root, "adapt", model.config.extractor.input_dim)
     records = _sampled_records(manifest, "adapt")
     prefix = _frozen_prefix(model, records, store, cfg)
 

@@ -1,5 +1,10 @@
+import ctypes
 import dataclasses
+import glob
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +102,40 @@ def jitter_params(model, seed=999, scale=0.1):
     for name in sorted(model.params):
         model.params[name] += scale * stream.normal(size=model.params[name].shape)
     return model
+
+
+# OPENBLAS_CORETYPE values of x86-64 kernel sets a DYNAMIC_ARCH OpenBLAS may
+# hold; a host runs those its CPU can
+BLAS_KERNELS = ("Katmai", "Nehalem", "Sandybridge", "Haswell", "Zen", "SkylakeX", "CooperLake", "SapphireRapids")
+
+
+def blas_corename():
+    """The name of the OpenBLAS kernel set this process runs, or None where
+    numpy's BLAS is not scipy-openblas."""
+    for lib in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")):
+        fn = getattr(ctypes.CDLL(lib), "scipy_openblas_get_corename64_", None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
+            return fn().decode()
+    return None
+
+
+def run_under_kernel(kernel, code):
+    """Run the Python ``code`` in a new process whose OpenBLAS takes the
+    ``kernel`` kernels; returns its stdout, or None where the host does not
+    run them (OpenBLAS then falls back to another kernel set).  The process
+    imports ``crossadapt`` and these test modules; an assertion that fails
+    in it fails here with its output."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel,
+               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    check = f"import sys, conftest\nif conftest.blas_corename() != {kernel!r}: sys.exit(3)\n"
+    done = subprocess.run([sys.executable, "-c", check + code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    if done.returncode == 3:
+        return None
+    assert done.returncode == 0, f"under OPENBLAS_CORETYPE={kernel}:\n{done.stdout}{done.stderr}"
+    return done.stdout
 
 
 @pytest.fixture

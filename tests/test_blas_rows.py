@@ -1,39 +1,42 @@
 """The BLAS row facts that every byte guarantee rests on.
 
-Evaluation embeds a whole domain in one trunk pass and scores it with one
-gemm, and the reports stay byte-identical to embedding and scoring each
-utterance alone. Finetune and adapt read a crop's g1-g3 rows from a
-per-utterance table and a stacked pass over edge windows, and every
-training stage runs the trainable trunk over all crops of a batch as one
-stack; the checkpoints stay byte-identical to running each crop whole.
-Every forward-only pass (evaluation's trunk, the table, untabled crops)
-runs its windows in stacks of about 512 rows, and evaluation runs each
-subnet and each norm once over a stack of one-row items.
-That holds only while a product row's bits do not depend on the other rows
-in the product, and while the stack's grads sum in crop order. These tests
-pin that at the shapes the code uses, so a BLAS that breaks it fails here,
+Forward-only passes (evaluation's trunk, the frozen g1-g3 table of finetune
+and adapt, and the crops the table does not cover) promise that an
+utterance's rows do not depend on its batch. They get that by
+construction: ``Model._forward_windows`` gives every product of a T-frame
+window one height, whether the window runs alone or in a batch, and at a
+fixed height a row's bits depend on neither the other rows nor where the
+row sits. ``TestFixedHeight`` pins that fixed-height fact at the trunk
+shapes, here and in a new process under every OpenBLAS kernel set the
+host runs. Evaluation also runs each subnet and each norm once over a
+stack of one-row items, which numpy computes item by item.
+
+Training promises determinism: the same crops and parameters give the same
+bytes. The other classes pin the row facts of the default kernel that make
+default-shape checkpoints also equal running each crop whole: a product
+row's bits do not depend on the other rows of a product of at least 8 rows,
+and a stack's grads sum in crop order. A BLAS that breaks them fails here,
 with the property named, rather than as a changed sha256 somewhere
-downstream.
+downstream. These facts belong to the default kernel (SkylakeX on the
+2-core Xeon the project is measured on); under Haswell's kernels a row
+slice of 8 or more rows can differ from those rows of the full product.
 
 Slices of fewer than 8 rows are left out on purpose: single-row slices
-differ from the full product's rows at most shapes, and the code never
-relies on them. A right operand passed as a transposed view needs care:
-OpenBLAS 0.3.31 then takes a small-matrix kernel for any product of about
-1,200 entries or fewer, so slices of up to 9 rows of a [64 x 128] score
-matrix differ from its rows. ``score_trials`` relies on no slice of its
-product (it merges identical rows instead), so its shapes are pinned here
-with a contiguous operand. The trunk's input gradient ``dpre @ W.T`` is
-pinned with the transposed view it passes. No probe gates it: training
-stacks its crops at every shape and promises only determinism, and this
-pin is why default-shape checkpoints still equal running each crop whole.
+differ from the full product's rows at most shapes. A right operand passed
+as a transposed view needs care: OpenBLAS 0.3.31 then takes a small-matrix
+kernel for any product of about 1,200 entries or fewer, so slices of up to
+9 rows of a [64 x 128] score matrix differ from its rows. ``score_trials``
+relies on no slice of its product (it merges identical rows instead), so
+its shapes are pinned here with a contiguous operand. The trunk's input
+gradient ``dpre @ W.T`` is pinned with the transposed view it passes.
 """
 
 import numpy as np
 import pytest
 
 from crossadapt import model as model_mod
-from crossadapt.model import Model, _gemm_rows_exact
-from conftest import default_like_config
+from crossadapt.model import Model
+from conftest import BLAS_KERNELS, default_like_config, run_under_kernel
 
 # default model: 20 input dims, four 24-wide groups with context (2, 1, 1, 0)
 # and 8 dictionary components; (spliced width, group width) per group
@@ -45,6 +48,47 @@ CROP, HALO = 60, 4  # training crop frames; R = sum of the g1-g3 context widths
 EVAL_STACKS = (2, 3, 4, 5)  # windows per forward-only stack at 100-200 frames
 SUBNET_GEMMS = [(192, 64), (64, 64), (64, 32), (32, 32)]  # front.0 .. back.1
 EMBEDDING_DIMS = (COMPONENTS * WIDTH, 32)  # pooled, adapted
+WINDOW_FRAMES = (7, 60, 100, 200)  # forward-only windows: short crops, training crops, utterances
+
+
+def stack_height(t):
+    """Rows of every product of a forward-only stack of t-frame windows:
+    ``_STACK_ROWS // t`` windows, at least one, rounded up to 16 rows."""
+    return -(-max(1, model_mod._STACK_ROWS // t) * t // 16) * 16
+
+
+def assert_fixed_height(k, n, t):
+    """At the height of a stack of t-frame windows, a row of [height x k]
+    @ [k x n] keeps its bits when the other rows change and when it moves,
+    and a window's rows in any slot of a stack are those it gets alone,
+    first in a stack of zero rows."""
+    height = stack_height(t)
+    rng = np.random.default_rng(k * 1000 + n * 10 + t)
+    x, w = rng.normal(size=(height, k)), rng.normal(size=(k, n))
+    full = x @ w
+    where = f"[{height}x{k}] @ [{k}x{n}], the height of {t}-frame windows"
+    other = rng.normal(size=x.shape)
+    keep = rng.random(height) < 0.5
+    other[keep] = x[keep]
+    assert (other @ w)[keep].tobytes() == full[keep].tobytes(), (
+        f"fixed-height fact 'a row's bits do not depend on the other rows' fails: {where}")
+    moved = rng.permutation(height)
+    assert (x[moved] @ w).tobytes() == full[moved].tobytes(), (
+        f"fixed-height fact 'a row keeps its bits wherever it sits' fails: {where}")
+    alone = np.zeros_like(x)
+    alone[:t] = x[:t]
+    want = (alone @ w)[:t].tobytes()
+    for slot in range(height // t):
+        stack = x.copy()
+        stack[slot * t : (slot + 1) * t] = x[:t]
+        assert (stack @ w)[slot * t : (slot + 1) * t].tobytes() == want, (
+            f"fixed-height fact 'a window's rows in slot {slot} are its rows alone' fails: {where}")
+
+
+def assert_fixed_height_everywhere():
+    for k, n in TRUNK_GEMMS:
+        for t in WINDOW_FRAMES:
+            assert_fixed_height(k, n, t)
 
 
 def slices(rows):
@@ -228,12 +272,31 @@ class TestStackedTrunkProducts:
             )
 
 
+class TestFixedHeight:
+    """Every product a forward-only T-frame window takes part in has
+    ``stack_height(T)`` rows, alone or in a batch."""
+
+    @pytest.mark.parametrize("t", WINDOW_FRAMES)
+    @pytest.mark.parametrize("k,n", TRUNK_GEMMS)
+    def test_a_row_keeps_its_bits_at_the_stack_height(self, k, n, t):
+        assert_fixed_height(k, n, t)
+
+    def test_the_fact_holds_under_every_kernel_the_host_runs(self):
+        ran, skipped = [], []
+        for kernel in BLAS_KERNELS:
+            out = run_under_kernel(kernel, "import test_blas_rows\ntest_blas_rows.assert_fixed_height_everywhere()\n")
+            (skipped if out is None else ran).append(kernel)
+        print(f"fixed-height fact held under {ran}; the host runs none of {skipped}")
+        if not ran:
+            pytest.skip(f"the host runs none of {skipped}")
+
+
 class TestForwardOnlyStacks:
     """Forward-only passes: evaluation's trunk and the frozen g1-g3 run
-    equal-length windows in stacks of about ``model._STACK_ROWS`` rows
-    (``Model._forward_windows``), and evaluation runs each subnet once over
-    a stack of one-row items [N, 1, E] and takes each norm from one
-    [N, 1, E] @ [N, E, 1] product."""
+    equal-length windows in stacks of ``model._STACK_ROWS // T`` windows
+    padded to one height (``Model._forward_windows``), and evaluation runs
+    each subnet once over a stack of one-row items [N, 1, E] and takes each
+    norm from one [N, 1, E] @ [N, E, 1] product."""
 
     @pytest.mark.parametrize("t", FRAME_COUNTS)
     @pytest.mark.parametrize("k,n", TRUNK_GEMMS)
@@ -249,35 +312,32 @@ class TestForwardOnlyStacks:
                     f"own product' fails: window {i}, [{k}x{n}] weights"
                 )
 
-    @pytest.mark.parametrize("k,n", TRUNK_GEMMS)
-    def test_shape_probe_admits_the_trunk_shapes(self, k, n):
-        assert _gemm_rows_exact(k, n), (
-            f"the row-exactness probe refuses the [{k}x{n}] trunk gemm, so forward-only "
-            "passes would run window by window and finetune and adapt would build no table"
-        )
-
-    @pytest.mark.parametrize("t,probe,calls", [
-        (60, True, [(8, 60, 20), (8, 60, 20), (4, 60, 20)]),  # stacks of 512 // 60 windows
-        (7, True, [(7, 20)] * 20),  # under 8 rows: one window at a time
-        (60, False, [(60, 20)] * 20),  # a shape that fails the row probe
+    @pytest.mark.parametrize("t,stacks,height", [
+        (60, [(8, 60, 20), (8, 60, 20), (4, 60, 20)], 480),  # 512 // 60 windows a stack
+        (7, [(20, 7, 20)], 512),  # 73 windows of 7 frames a stack: 511 rows, rounded up
     ])
-    def test_stacks_only_where_the_row_fact_holds(self, monkeypatch, t, probe, calls):
+    def test_stacks_are_padded_to_one_height_per_length(self, monkeypatch, t, stacks, height):
+        """Every product has the height of a full stack, the last stack's
+        and a window's alone too."""
         model = Model.create(default_like_config(), seed=0)
-        if not probe:
-            monkeypatch.setattr(model_mod, "_gemm_rows_exact", lambda k, n: False)
         windows = list(np.random.default_rng(t).normal(size=(20, t, 20)))
-        seen = []
-        forward = Model.extractor_forward
+        seen, heights = [], []
+        groups, affine = Model._groups_forward, model_mod.affine_forward
 
-        def spy(self, x, mode="train", first_group=1):
-            seen.append(np.shape(x))
-            return forward(self, x, mode, first_group)
+        def spy(self, h, first, last, mode, height=0):
+            seen.append(np.shape(h))
+            return groups(self, h, first, last, mode, height)
 
-        monkeypatch.setattr(Model, "extractor_forward", spy)
+        def gemm(x, w, b):
+            heights.append(len(x))
+            return affine(x, w, b)
+
+        monkeypatch.setattr(Model, "_groups_forward", spy)
+        monkeypatch.setattr(model_mod, "affine_forward", gemm)
         out = list(model._forward_windows(windows, 1, 4))
-        assert seen == calls
+        assert seen == stacks and heights == [height] * (4 * len(stacks))
         for x, got in zip(windows, out):
-            assert got.tobytes() == forward(model, x, "eval")[0].tobytes()
+            assert got.tobytes() == next(model._forward_windows([x], 1, 4)).tobytes()
 
     @pytest.mark.parametrize("k,n", SUBNET_GEMMS)
     def test_one_row_items_equal_the_one_row_product(self, k, n):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import crossadapt
 from crossadapt import cli, pipeline
 from crossadapt.cli import main
-from crossadapt.corpus import CorpusManifest
+from crossadapt.corpus import CorpusManifest, read_features, write_features
 from crossadapt.evaluation import read_report
 from crossadapt.model import load_checkpoint, save_checkpoint
 from conftest import duplicate_tensor, set_arch_entry
@@ -348,6 +348,28 @@ class TestExitCodes:
         }[command]
         assert main(["-q", *argv, "--out", str(tmp_path / "x.out")]) == 2
         assert not (tmp_path / "x.out").exists()
+
+    @pytest.mark.parametrize("command,victim", [("pretrain", "d1/train"), ("finetune", "d0/train"),
+                                                ("adapt", "d1/train"), ("evaluate", "d1/test")])
+    def test_frames_of_another_width_exit_2(self, env, tmp_path, command, victim):
+        """A feature file the command reads, rewritten with a seventh value
+        a frame: every seed exits 2 and writes nothing.  Pretrain at seed 4
+        once stacked such crops with the others and ended in numpy's error."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(env["corpus"], corpus)
+        path = corpus / f"{victim}.xdaf"
+        frames = read_features(path)
+        write_features(path, np.hstack([frames, frames[:, :1]]))
+        conf = ["--config", str(env["config"]), "--corpus", str(corpus), "--out", str(tmp_path / "x.out")]
+        argv = {
+            "pretrain": ["pretrain", *conf],
+            "finetune": ["finetune", *conf, "--init", str(env["pre"])],
+            "adapt": ["adapt", *conf, "--init", str(env["ft"])],
+            "evaluate": ["evaluate", "--ckpt", str(env["ft"]), *conf[2:]],
+        }[command]
+        for seed in ([] if command == "evaluate" else ["--seed", str(s)] for s in range(1, 6)):
+            assert main(["-q", *argv, *seed]) == 2, seed
+            assert not (tmp_path / "x.out").exists()
 
     @pytest.mark.parametrize("flags", [
         lambda tmp: ["--config", str(tmp / "absent.yaml")],

@@ -382,7 +382,7 @@ class TestGenCorpus:
             named = [r for r in man.records if r.relpath == path]
             frames = read_features(tmp_path / path)
             assert frames.shape[0] == sum(r.frames for r in named)
-            got = man.read_frames(tmp_path, named)
+            got = man.read_frames(tmp_path, named, 6)
             assert list(got) == [r.utt_id for r in named]
             assert np.concatenate(list(got.values())).tobytes() == frames.tobytes()
 
@@ -415,10 +415,10 @@ class TestGenCorpus:
         # one record's worth of rows short: its neighbour's rows would shift
         write_features(tmp_path / enroll[0].relpath, frames[5:])
         with pytest.raises(StructuralError, match="frames"):
-            man.read_frames(tmp_path, enroll[1:])
+            man.read_frames(tmp_path, enroll[1:], 6)
         with pytest.raises(StructuralError, match="frames"):
             man.verify_files(tmp_path)
-        man.read_frames(tmp_path, man.select(0, "train"))
+        man.read_frames(tmp_path, man.select(0, "train"), 6)
 
     def test_verify_files_catches_missing_and_mismatch(self, tmp_path, rng):
         man = gen_corpus(tmp_path, 2, recipe(num_speakers=2, utts_per_speaker=3,
@@ -463,6 +463,23 @@ class TestManifestPaths:
                                      ManifestRecord("v", 1, 0, "train", "d0/a.xdaf", 5)])
         with pytest.raises(FileFormatError, match="malformed manifest record"):
             CorpusManifest.load(path)
+
+    def test_records_out_of_generation_order_refused(self, tmp_path):
+        """Shuffled, most records would read another record's rows."""
+        man = gen_corpus(tmp_path, 2, recipe(num_speakers=4, utts_per_speaker=10,
+                                             frames_per_utt=5, domains=small_domains(), input_dim=6))
+        random.Random(0).shuffle(man.records)
+        man.save(tmp_path / "manifest.tsv")
+        with pytest.raises(FileFormatError, match="after a later utterance"):
+            CorpusManifest.load(tmp_path / "manifest.tsv")
+
+    @pytest.mark.parametrize("speakers,utts", [(1001, 3), (2, 1001)])
+    def test_a_thousand_speakers_or_utterances_keep_generation_order(self, tmp_path, speakers, utts):
+        """s999 is written before s1000, though "s1000" < "s999" as strings."""
+        split = [name for name, n in zip(SPLITS, split_counts(utts)) for _ in range(n)]
+        recs = [ManifestRecord(f"s{s:03d}_u{u:03d}_d{d}", s, d, split[u], f"d{d}/{split[u]}.xdaf", 5)
+                for s in range(speakers) for u in range(utts) for d in range(2)]
+        assert CorpusManifest.load(self.write(tmp_path, recs)).records == recs
 
     def test_dotted_names_inside_the_corpus_load(self, tmp_path):
         recs = [ManifestRecord("u", 0, 0, "train", "d0/..a.xdaf", 5),

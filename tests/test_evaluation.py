@@ -186,16 +186,30 @@ class TestEmbed:
            st.sampled_from(STAGES), st.integers(0, 3), st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)
     def test_rows_equal_one_utterance_calls_for_any_n(self, lengths, stage, domain, seed):
-        """At default shapes the trunk runs in L2-sized stacks and each
-        subnet once over the [N, 1, E] stack; every row keeps the bytes of
-        its utterance embedded alone, and of the per-row loop."""
+        """At default shapes the trunk runs in stacks of one height per
+        frame count and each subnet once over the [N, 1, E] stack; every
+        row keeps the bytes of its utterance embedded alone, on any BLAS
+        kernel."""
+        rng = np.random.default_rng(seed)
+        utts = [rng.normal(size=(t, 20)) for t in lengths]
+        model = default_like_model()
+        together = embed_utterances(utts, model, stage, domain)
+        for i, x in enumerate(utts):
+            assert together[i].tobytes() == embed_one(x, model, stage, domain).tobytes(), i
+
+    @given(st.lists(st.sampled_from([5, 8, 60, 100, 200]), min_size=1, max_size=14),
+           st.sampled_from(STAGES), st.integers(0, 3), st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_equal_the_per_row_loop_for_any_n(self, lengths, stage, domain, seed):
+        """Every row also keeps the bytes of the per-row loop, which runs
+        each utterance's trunk unpadded: at default shapes the default
+        kernel gives a product row the same bits at every height
+        (tests/test_blas_rows.py)."""
         rng = np.random.default_rng(seed)
         utts = [rng.normal(size=(t, 20)) for t in lengths]
         model = default_like_model()
         together = embed_utterances(utts, model, stage, domain)
         assert together.tobytes() == per_row_embed(utts, model, stage, domain).tobytes()
-        for i, x in enumerate(utts):
-            assert together[i].tobytes() == embed_one(x, model, stage, domain).tobytes(), i
 
     @pytest.mark.parametrize("pool_rows", [1, 600, 1000, model_mod._POOL_ROWS])
     def test_pooling_chunks_and_float32_frames_change_no_byte(self, monkeypatch, pool_rows):
@@ -380,6 +394,15 @@ class TestReports:
         path = tmp_path / "r.report"
         write_report(path, new)
         path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(FileFormatError):
+            read_report(path)
+
+    @pytest.mark.parametrize("domain", ["d-1", "ddd2", "2", "d", "d+2", "d 2"])
+    def test_a_domain_id_other_than_d_and_digits_is_a_format_error(self, tmp_path, domain):
+        _, new = self.reports()
+        path = tmp_path / "r.report"
+        write_report(path, new)
+        path.write_text(path.read_text().replace("domain=d2 ", f"domain={domain} "))
         with pytest.raises(FileFormatError):
             read_report(path)
 

@@ -20,6 +20,7 @@ from crossadapt.errors import (
     UnknownDomainError,
 )
 from crossadapt.model import (
+    FROZEN_GROUPS,
     ExtractorConfig,
     FrozenPrefix,
     LdeConfig,
@@ -65,6 +66,15 @@ class TestExtractor:
     def test_dim_mismatch_raises(self, micro_model, rng):
         with pytest.raises(StructuralError):
             micro_model.extractor_forward(rng.normal(size=(5, 7)))
+
+    @pytest.mark.parametrize("odd", [0, 2])
+    def test_a_malformed_window_in_a_forward_only_stack_names_its_fault(self, micro_model, rng, odd):
+        """Windows of one length but mixed widths, the odd one first or
+        later, end in the extractor's own error, not numpy's."""
+        utts = [rng.normal(size=(6, 4)) for _ in range(3)]
+        utts[odd] = rng.normal(size=(6, 7))
+        with pytest.raises(StructuralError, match="g1 expects feature dim 4, got 7"):
+            micro_model.encode(utts, "eval")
 
     def test_gradients_match_finite_differences(self, rng):
         cfg = micro_config(input_dim=4, width=4, context=(1, 0, 2, 0))
@@ -655,12 +665,15 @@ class TestFrozenPrefix:
             rows = FrozenPrefix(model, table).crop_rows(crops, keys)
             assert len(rows) == len(crops)
             for crop, got in zip(crops, rows):
-                want = reference_g3(model, crop)
+                # the crop alone through the forward-only path: an untabled
+                # crop's rows by construction, a tabled crop's because on the
+                # default kernel the table's and the edge pass's product rows
+                # keep their bits at every height of 8 or more rows here
+                want = next(model._forward_windows([crop], 1, FROZEN_GROUPS))
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
-                # and g4 from the g3 rows is the full trunk over the crop
-                full, _ = model.extractor_forward(crop)
-                from_g4, _ = model.extractor_forward(got, first_group=4)
-                assert from_g4.tobytes() == full.tobytes()
+                # and g4 from the g3 rows is the forward-only trunk over the crop
+                full = next(model._forward_windows([crop], 1, 4))
+                assert next(model._forward_windows([got], 4, 4)).tobytes() == full.tobytes()
 
     @given(st.lists(st.sampled_from([5, 8, 60, 100]), min_size=1, max_size=12),
            st.integers(1, 40), st.sampled_from([7, 8, 60]), st.integers(0, 2**32 - 1))

@@ -22,7 +22,8 @@ from crossadapt.corpus import (
     write_features,
 )
 from crossadapt.errors import ContractError, StructuralError
-from crossadapt.model import load_checkpoint
+from crossadapt.evaluation import embed_utterances
+from crossadapt.model import FROZEN_GROUPS, load_checkpoint
 from crossadapt.pipeline import (
     adapt,
     crop_utterance,
@@ -34,7 +35,7 @@ from crossadapt.pipeline import (
 )
 from crossadapt.rng import substream
 
-from conftest import recipe, unpack_corpus
+from conftest import blas_corename, recipe, run_under_kernel, unpack_corpus
 
 
 def tiny_raw():
@@ -107,7 +108,7 @@ class TestSampling:
     @pytest.mark.parametrize("stage", ["pretrain", "finetune", "adapt"])
     def test_feature_store_holds_exactly_what_the_stage_samples(self, chain, stage):
         manifest = CorpusManifest.load(chain["corpus"] / "manifest.tsv")
-        store = load_feature_store(manifest, chain["corpus"], stage)
+        store = load_feature_store(manifest, chain["corpus"], stage, 6)
         sampled = {r.utt_id for records in pipeline._sampled_records(manifest, stage) for r in records}
         assert list(store) == [r.utt_id for r in manifest.records if r.utt_id in sampled]
         domains = {0} if stage == "finetune" else {0, 1, 2}
@@ -117,7 +118,7 @@ class TestSampling:
     def test_clean_only_restricts_domain(self, chain):
         cfg = chain["cfg"]
         manifest = CorpusManifest.load(chain["corpus"] / "manifest.tsv")
-        store = load_feature_store(manifest, chain["corpus"], "finetune")
+        store = load_feature_store(manifest, chain["corpus"], "finetune", 6)
         (records,) = pipeline._sampled_records(manifest, "finetune")
         feats, labels = sample_supervised(records, store, substream(5, "x"), cfg.finetune)
         clean_ids = {r.utt_id for r in manifest.select(0, "train")}
@@ -133,7 +134,7 @@ class TestSampling:
     def test_batch_structure_matches_config(self, chain):
         cfg = chain["cfg"]
         manifest = CorpusManifest.load(chain["corpus"] / "manifest.tsv")
-        store = load_feature_store(manifest, chain["corpus"], "adapt")
+        store = load_feature_store(manifest, chain["corpus"], "adapt", 6)
         records = pipeline._sampled_records(manifest, "adapt")
         batch = sample_batches(records, store, substream(5, "y"), cfg.adapt)
         assert [len(labels) for labels in batch.labels] == [cfg.adapt.batch_size] + [cfg.adapt.tgt_batch_size] * 2
@@ -143,7 +144,7 @@ class TestSampling:
     def test_speaker_sampling_uniform(self, chain):
         cfg = chain["cfg"]
         manifest = CorpusManifest.load(chain["corpus"] / "manifest.tsv")
-        store = load_feature_store(manifest, chain["corpus"], "pretrain")
+        store = load_feature_store(manifest, chain["corpus"], "pretrain", 6)
         (records,) = pipeline._sampled_records(manifest, "pretrain")
         rng = substream(123, "uniform")
         counts = np.zeros(4)
@@ -227,7 +228,7 @@ class TestFloat32Store:
     @pytest.mark.parametrize("stage", ["pretrain", "finetune", "adapt"])
     def test_store_holds_the_stored_float32_frames_read_only(self, chain, stage):
         manifest = CorpusManifest.load(chain["corpus"] / "manifest.tsv")
-        store = load_feature_store(manifest, chain["corpus"], stage)
+        store = load_feature_store(manifest, chain["corpus"], stage, 6)
         for feats in store.values():
             assert feats.dtype == np.float32 and not feats.flags.writeable
             with pytest.raises(ValueError):
@@ -257,6 +258,45 @@ def run_chain(cfg, corpus, out):
         assert main(["-q", "evaluate", "--ckpt", str(out / f"{ckpt}.ckpt"), "--corpus", str(corpus),
                      "--out", str(out / f"{ckpt}.report")]) == 0
     return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def check_chain_guarantees(root):
+    """The tiny chain twice under ``root``: the same bytes both times, g1-g3
+    unchanged by finetune and adapt, and every evaluated row the bytes of
+    its utterance embedded alone, at 7, 30 and 100 frames (stacks of 511,
+    510 and 500 rows before they are padded to a multiple of 16)."""
+    root = Path(root)
+    cfg = build_config(tiny_raw())
+    gen_corpus(root / "corpus", cfg.seed, cfg.corpus)
+    first = run_chain(cfg, root / "corpus", root / "first")
+    assert run_chain(cfg, root / "corpus", root / "second") == first, "the chain's bytes changed between runs"
+    models = {name: load_checkpoint(root / "first" / f"{name}.ckpt")[0] for name in ("pre", "ft", "ad")}
+    for name in (f"g{g + 1}.{kind}" for g in range(FROZEN_GROUPS) for kind in "Wb"):
+        assert (models["pre"].params[name].tobytes() == models["ft"].params[name].tobytes()
+                == models["ad"].params[name].tobytes()), f"{name} changed in finetune or adapt"
+    manifest = CorpusManifest.load(root / "corpus" / "manifest.tsv")
+    tests = list(manifest.read_frames(root / "corpus", manifest.select(split="test"), 6).values())
+    utts = ([x[s : s + 7] for x in tests for s in (0, 7, 14, 21)] + tests
+            + [np.vstack(tests[i : i + 4])[:100] for i in range(0, len(tests) - 3, 4)])
+    for stage, name in (("finetune", "ft"), ("adapt", "ad")):
+        for domain in range(manifest.num_domains):
+            together = embed_utterances(utts, models[name], stage, domain)
+            for i, x in enumerate(utts):
+                alone = embed_utterances([x], models[name], stage, domain)[0]
+                assert together[i].tobytes() == alone.tobytes(), (stage, domain, len(x), i)
+
+
+class TestSecondKernel:
+    def test_the_chain_keeps_its_guarantees_under_another_blas_kernel(self, tmp_path):
+        """Every fact pinned elsewhere is the default kernel's; the
+        guarantees the program makes hold under Haswell's kernels too, or
+        under SkylakeX's where Haswell's are the default."""
+        for kernel in [k for k in ("Haswell", "SkylakeX") if k != blas_corename()]:
+            code = f"import test_pipeline\ntest_pipeline.check_chain_guarantees({str(tmp_path)!r})\n"
+            if run_under_kernel(kernel, code) is not None:
+                print(f"chain guarantees held under {kernel}")
+                return
+        pytest.skip(f"the host runs neither Haswell's nor SkylakeX's kernels but {blas_corename()}")
 
 
 class TestFileLayout:
