@@ -12,9 +12,10 @@ on their batch. Each subnet then runs once over the domain as a stack of
 one-row items [N, 1, E], since a one-row gemm is not always bit-equal to
 that row of a many-row product, and numpy computes each item with the same
 one-row product a single row gets. The normalization takes each row's norm
-from one [N, 1, E] @ [N, E, 1] product, whose items are the dot product
-``np.linalg.norm`` takes of one row. So an utterance's embedding, and every
-report byte, is the same as if it had been embedded alone.
+from one [N, 1, E] @ [N, E, 1] product over rows that start on 16-byte
+boundaries, whose items are the dot product ``np.linalg.norm`` takes of
+one row. So an utterance's embedding, and every report byte, is the same
+as if it had been embedded alone.
 
 EER is computed over operating points only (threshold sweep at score
 midpoints), with linear interpolation between the two bracketing points
@@ -59,8 +60,16 @@ __all__ = [
 
 def _normalize(rows: np.ndarray) -> np.ndarray:
     """Rows [N x E] divided by their norms, each the square root of one
-    item of a stacked [N, 1, E] @ [N, E, 1] product."""
-    norms = np.sqrt((rows[:, None, :] @ rows[:, :, None]).reshape(-1, 1))
+    item of a stacked [N, 1, E] @ [N, E, 1] product.
+
+    The items are rows of a zero-padded copy of even width, so each starts
+    on a 16-byte boundary: under OpenBLAS's Katmai kernels an item's bits
+    depend on its alignment, and at odd E a row's norm would depend on its
+    place in the stack."""
+    n, e = rows.shape
+    aligned = np.zeros((n, e + e % 2))
+    aligned[:, :e] = rows
+    norms = np.sqrt((aligned[:, None, :] @ aligned[:, :, None]).reshape(-1, 1))
     if not np.all((norms > 0.0) & np.isfinite(norms)):
         raise ContractError("cannot length-normalize a zero embedding")
     return rows / norms

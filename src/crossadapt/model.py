@@ -34,10 +34,10 @@ The trunk entry points take the first group to run.  Finetune and adapt
 freeze g1-g3, so they feed g4 with each crop's g3 rows from a
 ``FrozenPrefix``: middle rows from a per-utterance table of g1-g3, the R
 edge rows at each end (R the summed g1-g3 context) from one stacked pass
-over every crop's 2R-frame end windows.  A stage builds the table only
-when the crop frames it saves outnumber the frames it costs (pipeline).
-Only the edge rows see the crop's replicated edges, so the rows equal
-running the crop whole, bit for bit, under the row fact of training.
+over every crop's 2R-frame end windows.  The prefix builds its table only
+when the crop frames it saves outnumber the frames it costs.  Only the
+edge rows see the crop's replicated edges, so the rows equal running the
+crop whole, bit for bit, under the row fact of training.
 
 All forward passes return caches sufficient for exact hand-derived
 backprop; the tests check every backward here against central differences.
@@ -681,11 +681,6 @@ def _accum(grads: dict, name: str, value) -> None:
         grads[name] = value
 
 
-# a gemm of fewer rows may take another BLAS path, whose rows need not be
-# bit-equal to the same rows of a larger product (tests/test_blas_rows.py)
-_MIN_GEMM_ROWS = 8
-
-
 # rows per stack of a forward-only trunk pass: a group's input and output stay in L2;
 # no gemm shape is probed, as a window's products have one height (Model._forward_windows)
 _STACK_ROWS = 512
@@ -706,24 +701,32 @@ class FrozenPrefix:
     from ``table`` and takes its R edge rows at each end from the 2R-frame
     window there; the windows of all such crops go through g1-g3 in one
     stacked [2N, 2R, D] pass, one gemm per group.  Crops that are padded,
-    have at most 2R or fewer than 8 frames, come from an untabled
-    utterance, or would leave the edge pass under 8 rows go through g1-g3
-    whole.  They, and the utterances the table is built from, run as
+    have at most 2R frames or come from an untabled utterance go through
+    g1-g3 whole.  They, and the utterances the table is built from, run as
     forward-only stacks (``Model._forward_windows``).  A tabled crop's rows
-    equal running it whole where a gemm row of a product of at least 8 rows
-    keeps its bits at any height, as at the default shapes on the default
-    kernel; training promises only determinism, so no shape is probed.
+    equal running it whole where a gemm row keeps its bits at any height,
+    as at the default shapes on the default kernel; training promises only
+    determinism, so no shape is probed.
     """
 
-    def __init__(self, model: Model, utterances: dict):
-        """Table g1-g3 over each frame matrix in ``utterances`` (utterance
-        id -> frames); an empty dict builds no table."""
+    def __init__(self, model: Model, utterances: dict, crops: int, crop_frames: int):
+        """The g1-g3 rows of ``crops`` crops of L = ``crop_frames`` frames
+        drawn from ``utterances`` (utterance id -> frames).
+
+        A tabled crop runs g1-g3 over its 4R edge-window frames instead of
+        its L, so a table saves ``crops * (L - 4R)`` frames of work and
+        costs one pass over the T frames of ``utterances``.  It is built
+        only when ``crops * (L - 4R) > T``; on a wide corpus trained for
+        few steps it would only add memory.
+        """
         self.model = model
         self.halo = sum(model.config.extractor.context[:FROZEN_GROUPS])
+        self.table = {}
+        if crops * (crop_frames - 4 * self.halo) <= sum(len(x) for x in utterances.values()):
+            return
         by_length = {}
         for u, x in utterances.items():
             by_length.setdefault(len(x), []).append(u)
-        self.table = {}
         for ids in by_length.values():
             self.table.update(zip(ids, model._forward_windows([utterances[u] for u in ids], 1, FROZEN_GROUPS)))
 
@@ -735,10 +738,7 @@ class FrozenPrefix:
         padded crop.
         """
         r, size = self.halo, len(crops[0])
-        tabled = [i for i, (utt, s) in enumerate(keys)
-                  if s is not None and utt in self.table and size >= max(_MIN_GEMM_ROWS, 2 * r + 1)]
-        if r and 4 * r * len(tabled) < _MIN_GEMM_ROWS:
-            tabled = []
+        tabled = [i for i, (utt, s) in enumerate(keys) if s is not None and utt in self.table and size > 2 * r]
         out = np.empty((len(crops), size, self.model.config.extractor.group_dims[FROZEN_GROUPS - 1]))
         if tabled and r:
             windows = np.stack([w for i in tabled for w in (crops[i][: 2 * r], crops[i][-2 * r :])])

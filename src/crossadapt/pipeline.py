@@ -24,12 +24,10 @@ their stacks stay float32, and frames become float64 only inside the trunk
 
 Finetune and adapt never train g1-g3, so their batches hold each crop's g3
 rows (``model.FrozenPrefix``) and the trunk runs from g4.  At stage start
-they table g1-g3 over the train utterances they sample from when that
-pays: a tabled crop runs g1-g3 over its 4R edge-window frames instead of
-its L frames, so the table is built when n_crops * (L - 4R) exceeds the
-stage's train frame total.  The rule reads only the config and the
-manifest, and at the default shapes on the default kernel a table changes
-no byte, only the time and memory a stage takes.
+they hand the prefix the train utterances they sample from, the stage's
+crop count and ``crop_frames``; the prefix tables g1-g3 over those
+utterances when that pays.  At the default shapes on the default kernel a
+table changes no byte, only the time and memory a stage takes.
 
 A step allocates and frees numpy temporaries of a few hundred KB; the CLI
 has glibc keep those pages between steps (``cli._keep_freed_pages``), so
@@ -77,9 +75,8 @@ def load_feature_store(manifest: CorpusManifest, root, stage: str, input_dim: in
     utterance in manifest order, as ``CorpusManifest.read_frames`` returns
     them: read-only float32 views, each feature file read once.  A file
     whose frame count is not its records' total is refused: the stage
-    would train on misplaced rows, and ``_table_pays`` counts the
-    manifest's frames.  So is one whose frames are not ``input_dim``
-    wide, the model's input."""
+    would train on misplaced rows.  So is one whose frames are not
+    ``input_dim`` wide, the model's input."""
     sampled = {r.utt_id for records in _sampled_records(manifest, stage) for r in records}
     return manifest.read_frames(root, [r for r in manifest.records if r.utt_id in sampled], input_dim)
 
@@ -154,27 +151,10 @@ def _sampled_records(manifest, stage: str):
     return [manifest.select(domain_id=0 if stage == "finetune" else None, split="train")]
 
 
-def _table_pays(cfg: StageConfig, domain_records, extractor) -> bool:
-    """Whether the stage tables g1-g3 over its train utterances.
-
-    A crop read from the table runs g1-g3 over its two 2R-frame edge windows
-    instead of its L frames, so over the stage the table saves
-    ``n_crops * (L - 4R)`` frames of work; building it costs one pass over
-    the stage's train frames.  It is built only when that pays, which on a
-    wide corpus trained for few steps it does not, and the table would only
-    add memory.
-    """
-    per_step = sum(_draw_sizes(cfg, len(domain_records)))
-    halo = sum(extractor.context[:FROZEN_GROUPS])
-    frames = sum(r.frames for records in domain_records for r in records)
-    return cfg.steps * per_step * (cfg.crop_frames - 4 * halo) > frames
-
-
 def _frozen_prefix(model, domain_records, store, cfg: StageConfig) -> FrozenPrefix:
-    """The g1-g3 rows of a finetune or adapt stage, tabled when that pays."""
-    pays = _table_pays(cfg, domain_records, model.config.extractor)
-    return FrozenPrefix(model, {r.utt_id: store[r.utt_id] for records in domain_records for r in records}
-                        if pays else {})
+    """The g1-g3 rows of a finetune or adapt stage over its train utterances."""
+    return FrozenPrefix(model, {r.utt_id: store[r.utt_id] for records in domain_records for r in records},
+                        cfg.steps * sum(_draw_sizes(cfg, len(domain_records))), cfg.crop_frames)
 
 
 # -- the training loop ------------------------------------------------------------

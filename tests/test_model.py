@@ -629,6 +629,13 @@ def prefix_cases(draw):
             "input_dim": draw(st.integers(1, 6)), "size": size, "lengths": lengths, "crops": crops}
 
 
+def tabled_prefix(model, utterances):
+    """A ``FrozenPrefix`` that tables ``utterances``: crops of 4R + 1 frames,
+    one more of them than the utterances hold frames, pay for the table."""
+    r = sum(model.config.extractor.context[:FROZEN_GROUPS])
+    return FrozenPrefix(model, utterances, 1 + sum(len(x) for x in utterances.values()), 4 * r + 1)
+
+
 def _case(context, size, lengths, crops, widths=(5, 7, 3, 4), input_dim=3):
     return {"context": context, "widths": widths, "input_dim": input_dim, "size": size,
             "lengths": lengths, "crops": crops}
@@ -661,14 +668,15 @@ class TestFrozenPrefix:
             crops.append(np.vstack([x, np.repeat(x[-1:], size - len(x), axis=0)]) if offset is None
                          else x[offset : offset + size])
             keys.append((f"u{u}", offset))
-        for table in (store, {}):
-            rows = FrozenPrefix(model, table).crop_rows(crops, keys)
+        # a stage of no crops builds no table
+        for prefix in (tabled_prefix(model, store), FrozenPrefix(model, store, 0, size)):
+            rows = prefix.crop_rows(crops, keys)
             assert len(rows) == len(crops)
             for crop, got in zip(crops, rows):
                 # the crop alone through the forward-only path: an untabled
                 # crop's rows by construction, a tabled crop's because on the
                 # default kernel the table's and the edge pass's product rows
-                # keep their bits at every height of 8 or more rows here
+                # keep their bits at every height here
                 want = next(model._forward_windows([crop], 1, FROZEN_GROUPS))
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
                 # and g4 from the g3 rows is the forward-only trunk over the crop
@@ -684,7 +692,7 @@ class TestFrozenPrefix:
         rng = np.random.default_rng(seed)
         model = jitter_params(Model.create(default_like_config(), seed=seed % 1000), seed=seed, scale=0.05)
         store = {f"u{i}": rng.normal(size=(t, 20)) for i, t in enumerate(lengths)}
-        prefix = FrozenPrefix(model, store)
+        prefix = tabled_prefix(model, store)
         assert set(prefix.table) == set(store)
         for u, x in store.items():
             assert prefix.table[u].tobytes() == reference_g3(model, x).tobytes(), u
@@ -697,12 +705,35 @@ class TestFrozenPrefix:
         """At default-like shapes the middle rows of a tabled crop are the
         table's rows, so the edge path, not the whole-crop path, made them."""
         store = {"a": rng.normal(size=(40, 4))}
-        prefix = FrozenPrefix(generic_model, store)
+        prefix = tabled_prefix(generic_model, store)
         assert prefix.halo == 1  # micro context (0, 1, 0, 0)
         prefix.table["a"] = prefix.table["a"] + 1.0  # mark the table's rows
         rows = prefix.crop_rows([store["a"][5:25], store["a"][0:20]], [("a", 5), ("a", 0)])
         assert np.array_equal(rows[0][1:-1], prefix.table["a"][6:24])
         assert np.array_equal(rows[1][1:-1], prefix.table["a"][1:19])
+
+    def test_short_and_lone_crops_read_the_table(self, generic_model, rng):
+        """A crop of fewer than 8 frames, and a lone crop whose edge pass
+        has 4R = 4 rows, take the table-and-edge path too, and give the
+        same bytes every time."""
+        a = rng.normal(size=(40, 4))
+        prefix = tabled_prefix(generic_model, {"a": a})
+        assert prefix.halo == 1
+        prefix.table["a"] = prefix.table["a"] + 1.0  # mark the table's rows
+        for size, offsets in ((7, (3, 20)), (20, (5,))):
+            crops, keys = [a[s : s + size] for s in offsets], [("a", s) for s in offsets]
+            rows = prefix.crop_rows(crops, keys)
+            assert rows.tobytes() == prefix.crop_rows(crops, keys).tobytes()
+            for got, s in zip(rows, offsets):
+                assert np.array_equal(got[1:-1], prefix.table["a"][s + 1 : s + size - 1]), (size, s)
+
+    def test_table_is_built_only_when_it_saves_frames(self, generic_model, rng):
+        """A crop of L frames read from the table saves L - 4R frames of
+        g1-g3; the table costs one pass over the utterances' frames."""
+        store = {"a": rng.normal(size=(40, 4)), "b": rng.normal(size=(24, 4))}  # 64 frames
+        assert not FrozenPrefix(generic_model, store, 4, 20).table  # 4 * (20 - 4) = 64 saved
+        assert set(FrozenPrefix(generic_model, store, 5, 20).table) == {"a", "b"}  # 80 saved
+        assert not FrozenPrefix(generic_model, store, 10**6, 4).table  # L = 4R saves nothing
 
 
 class TestSubnetAndClassifier:
