@@ -207,14 +207,15 @@ class CorpusManifest:
                 records.append(
                     ManifestRecord(utt_id, int(speaker), int(domain), split, relpath, int(frames))
                 )
-                if records[-1].frames < 1:  # it would shift the rows of the records after it
+                r = records[-1]  # a record without frames would shift the rows of those after it
+                if r.frames < 1 or min(r.speaker_id, r.domain_id) < 0 or r.split not in SPLITS:
                     raise ValueError
-            except ValueError as exc:  # wrong field count, a non-integer field or no frames
+            except ValueError as exc:  # wrong field count, a non-integer field or a value out of range
                 raise FileFormatError(f"malformed manifest record: {ln!r}") from exc
             if utt_id in seen:
                 raise FileFormatError(f"manifest lists utterance {utt_id!r} twice")
             seen.add(utt_id)
-            order = (records[-1].speaker_id, len(utt_id), utt_id)  # generation order: s999 before s1000
+            order = (r.speaker_id, len(utt_id), utt_id)  # generation order: s999 before s1000
             if order < last.setdefault(relpath, order):
                 raise FileFormatError(f"manifest lists {utt_id!r} after a later utterance of {relpath}")
             last[relpath] = order

@@ -11,15 +11,17 @@ and a ``back`` half (the alignment/embedding space).
 
 ``Model.encode`` is the one trunk entry point.  It groups utterances by
 frame count.  In training it runs the extractor once per group, all of a
-batch's crops as one stack [N, L, D] with one gemm per layer group.  In
-evaluation, and for the frozen g1-g3 below, a pass has no backward, so it
-runs in stacks of about ``_STACK_ROWS`` rows, which keep each group's
-input and output in L2 (``Model._forward_windows``).  Pooling is in matrix
-form with no [T, K, D] tensor: in training one stacked ``lde_pool`` call
-per group, in evaluation one per chunk of about ``_POOL_ROWS`` rows, so an
-evaluated domain's whole trunk output is never held.  A canonical frame
-order makes each pooled row exactly invariant to the order of its frames
-and to its batch, and a clamp keeps expanded distances non-negative.
+batch's crops as one stack [N, L, D].  In evaluation, and for the frozen
+g1-g3 below, a pass has no backward, so it runs in stacks of about
+``_STACK_ROWS`` rows, which keep each group's input and output in L2
+(``Model._forward_windows``).  Either way a layer group is one
+``splice_forward``, a gather that splices each window on its own, and one
+gemm over the stack's rows.  Pooling is in matrix form with no [T, K, D]
+tensor: in training one stacked ``lde_pool`` call per group, in
+evaluation one per chunk of about ``_POOL_ROWS`` rows, so an evaluated
+domain's whole trunk output is never held.  A canonical frame order makes
+each pooled row exactly invariant to the order of its frames and to its
+batch, and a clamp keeps expanded distances non-negative.
 
 Training's contract is determinism: the same crops and parameters give
 the same bytes, whatever the shapes.  Every training group runs as one
@@ -32,12 +34,8 @@ product of a T-frame window has one height (``Model._forward_windows``).
 
 The trunk entry points take the first group to run.  Finetune and adapt
 freeze g1-g3, so they feed g4 with each crop's g3 rows from a
-``FrozenPrefix``: middle rows from a per-utterance table of g1-g3, the R
-edge rows at each end (R the summed g1-g3 context) from one stacked pass
-over every crop's 2R-frame end windows.  The prefix builds its table only
-when the crop frames it saves outnumber the frames it costs.  Only the
-edge rows see the crop's replicated edges, so the rows equal running the
-crop whole, bit for bit, under the row fact of training.
+``FrozenPrefix``, which reads them from a per-utterance table of g1-g3
+where that pays.
 
 All forward passes return caches sufficient for exact hand-derived
 backprop; the tests check every backward here against central differences.
@@ -194,22 +192,14 @@ def _config_from_arch(vec: np.ndarray) -> ModelConfig:
 # layer primitives (forward returns a cache, backward consumes it)
 
 @functools.lru_cache(maxsize=64)
-def _context_index(t: int, context: int) -> np.ndarray:
-    """Source row of each spliced slot [t x 2c+1], edges replicated.  Every
-    caller with the same shape shares the array, so it is read-only."""
-    idx = np.clip(np.arange(t)[:, None] + np.arange(-context, context + 1)[None, :], 0, t - 1)
+def _context_index(t: int, context: int, d: int = 1) -> np.ndarray:
+    """Flat source of each spliced value [t x (2c+1)*d] of a t-frame window
+    of d-wide frames, edges replicated (at d = 1, the source row of each
+    slot).  Callers share the array, so it is read-only."""
+    rows = np.clip(np.arange(t)[:, None] + np.arange(-context, context + 1)[None, :], 0, t - 1)
+    idx = (rows[:, :, None] * d + np.arange(d)).reshape(t, -1)
     idx.flags.writeable = False
     return idx
-
-
-@functools.lru_cache(maxsize=64)
-def _scatter_index(n: int, t: int, context: int, d: int) -> np.ndarray:
-    """Flat position in the [n x t x d] input of each spliced value, in
-    (window, t, j, d) order: each window scatters into its own rows."""
-    flat = (_context_index(t, context)[:, :, None] * d + np.arange(d)).ravel()
-    flat = (np.arange(n)[:, None] * (t * d) + flat).ravel()
-    flat.flags.writeable = False
-    return flat
 
 
 @functools.lru_cache(maxsize=64)
@@ -222,31 +212,35 @@ def _stack_index(n: int, t: int, context: int, height: int) -> np.ndarray:
     return idx
 
 
-def splice_forward(x, context: int):
-    """Stack each frame of ``x`` [T, D] with +-context neighbours, replicating
-    edges; each window of a stack [N, T, D] is spliced on its own."""
-    t = x.shape[-2]
-    if context == 0:
-        return x, (x.shape, None)
-    idx = _context_index(t, context)
-    # a gather along the frame axis leaves the result C-ordered, so the
-    # reshape to spliced rows is a view, not a copy
-    spliced = np.take(x, idx.reshape(-1), axis=-2)
-    return spliced.reshape(x.shape[:-1] + (-1,)), (x.shape, idx)
+def splice_forward(x, context: int, height: int = 0, windows=None):
+    """A group's product rows [H x (2c+1)*D]: each frame with its +-context
+    neighbours, edges replicated at each window's ends, then copies of the
+    first row up to H = max(``height``, N*T).  ``x`` is a window [T x D], a
+    stack [N x T x D] or, with ``windows`` = (N, T), rows [R x D] led by
+    such a stack's; a context-0 splice of rows already H tall passes them
+    through, so a forward-only stack keeps its height without a copy."""
+    n, t = windows or ((1, len(x)) if x.ndim == 2 else x.shape[:2])
+    rows = x.reshape(-1, x.shape[-1])
+    height = max(height, n * t)
+    cache = (x.shape, n, t, context)
+    if not context and len(rows) == height:
+        return rows, cache
+    spliced = np.take(rows, _stack_index(n, t, context, height), axis=0)
+    return spliced.reshape(height, -1), cache
 
 
 def splice_backward(dy, cache):
-    """Gradient of ``splice_forward``, shaped like its input; ``dy`` may
-    hold the spliced rows of a stack flattened to [N*T, (2c+1)*D]."""
-    shape, idx = cache
-    if idx is None:
+    """Gradient of ``splice_forward``, shaped like its input, from ``dy``
+    [N*T x (2c+1)*D], the spliced rows of a product at its own height."""
+    shape, n, t, context = cache
+    if not context:
         return dy.reshape(shape)
-    # bincount adds each input value's slots from 0.0 in (t, j, d) order, the
-    # order np.add.at uses, so the sums are bit-identical to a scatter-add; a
-    # per-window offset keeps every window's sums apart
-    n, t, d = (1, *shape) if len(shape) == 2 else shape
-    flat = _scatter_index(n, t, idx.shape[1] // 2, d)
-    return np.bincount(flat, weights=dy.ravel(), minlength=n * t * d).reshape(shape)
+    # bincount adds each input value's slots from 0.0 in (window, t, j, d)
+    # order, as np.add.at does window by window, so the bits are a scatter-add's;
+    # one offset per window on the cached per-window index keeps windows apart
+    d = shape[-1]
+    flat = np.arange(0, n * t * d, t * d)[:, None] + _context_index(t, context, d).reshape(1, -1)
+    return np.bincount(flat.ravel(), weights=dy.ravel(), minlength=n * t * d).reshape(shape)
 
 
 def affine_forward(x, w, b):
@@ -469,27 +463,20 @@ class Model:
         return h.reshape(x.shape[:-1] + h.shape[-1:]), caches
 
     def _groups_forward(self, h, first: int, last: int, mode: str, height: int = 0):
-        """The one group loop: groups ``first``..``last`` over a stack of
-        windows [N, T, D].
-
-        Each window is spliced on its own, then one gemm per group covers
-        the rows of every window, and copies of the first row up to
-        ``height``.  Returns the output and, in train mode, one cache per
-        group run.  Frames come in as stored (float32 from
-        ``corpus.read_features``) or as float64 rows of a lower group; this
-        is where they become float64, exactly, before any arithmetic.
+        """The one group loop over a stack of windows [N, T, D]: each of
+        groups ``first``..``last`` is one ``splice_forward`` and one gemm over
+        the rows of every window, then copies of the first row up to ``height``.
+        Returns the output and, in train mode, one cache per group run.
+        Frames come in as stored (float32 from ``corpus.read_features``) or
+        as float64 rows of a lower group; this is where they become float64,
+        exactly, before any arithmetic.
         """
         h = np.asarray(h, dtype=np.float64)
         n, t = h.shape[:2]
         rows = h.reshape(n * t, -1)
         caches = [] if mode == "train" else None
         for g in range(first - 1, last):
-            context = self.config.extractor.context[g]
-            if not height:
-                spliced, sp_cache = splice_forward(rows.reshape(n, t, -1), context)
-                rows = spliced.reshape(n * t, -1)
-            elif context or len(rows) < height:  # one gather splices every window and fills the height
-                rows = np.take(rows, _stack_index(n, t, context, height), axis=0).reshape(height, -1)
+            rows, sp_cache = splice_forward(rows, self.config.extractor.context[g], height, (n, t))
             pre, af_cache = affine_forward(rows, self.params[f"g{g + 1}.W"], self.params[f"g{g + 1}.b"])
             rows, relu_cache = relu_forward(pre)
             if mode == "train":
@@ -539,7 +526,7 @@ class Model:
         for g in range(NUM_GROUPS - 1, first - 1, -1):
             sp_cache, (x, w), relu_cache = caches[g - first]
             dpre = relu_backward(dh.reshape(relu_cache.shape), relu_cache)
-            windows = sp_cache[0][:-1]  # (N, T)
+            windows = sp_cache[1:3]  # (N, T)
             dw = (np.swapaxes(x.reshape(windows + (-1,)), -1, -2) @ dpre.reshape(windows + (-1,))).sum(axis=0)
             db = dpre.reshape(windows + (-1,)).sum(axis=-2).sum(axis=0)
             _accum(grads, f"g{g + 1}.W", dw)

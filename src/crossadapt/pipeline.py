@@ -151,6 +151,14 @@ def _sampled_records(manifest, stage: str):
     return [manifest.select(domain_id=0 if stage == "finetune" else None, split="train")]
 
 
+def _check_speakers(domain_records, model) -> None:
+    """Refuse, before step 1, a sampled record the head has no class for: the
+    stage would fail, or not, by which crops it drew."""
+    speakers = model.config.num_speakers
+    for r in (r for records in domain_records for r in records if r.speaker_id >= speakers):
+        raise StructuralError(f"utterance {r.utt_id} has speaker id {r.speaker_id}; the model has {speakers}")
+
+
 def _frozen_prefix(model, domain_records, store, cfg: StageConfig) -> FrozenPrefix:
     """The g1-g3 rows of a finetune or adapt stage over its train utterances."""
     return FrozenPrefix(model, {r.utt_id: store[r.utt_id] for records in domain_records for r in records},
@@ -224,6 +232,7 @@ def pretrain(corpus_root, app: AppConfig, out_path):
         seed=cfg.seed,
         with_subnets=False,
     )
+    _check_speakers([records], model)
     store = load_feature_store(manifest, corpus_root, "pretrain", model.config.extractor.input_dim)
     _seed_dictionary(model, records, store, cfg.seed)
     step = _supervised_step(model, records, store, cfg)
@@ -255,6 +264,7 @@ def finetune(init_ckpt, corpus_root, app: AppConfig, out_path):
     lr = 0.1 * noam_peak(app.pretrain.schedule)
     store = load_feature_store(manifest, corpus_root, "finetune", model.config.extractor.input_dim)
     records = _sampled_records(manifest, "finetune")
+    _check_speakers(records, model)
     prefix = _frozen_prefix(model, records, store, cfg)
     step = _supervised_step(model, records[0], store, cfg, prefix)
     return _train(model, "finetune", cfg, step, lambda k: lr, out_path)
@@ -280,6 +290,7 @@ def adapt(init_ckpt, corpus_root, app: AppConfig, out_path):
     model.ensure_subnets(cfg.seed)
     store = load_feature_store(manifest, corpus_root, "adapt", model.config.extractor.input_dim)
     records = _sampled_records(manifest, "adapt")
+    _check_speakers(records, model)
     prefix = _frozen_prefix(model, records, store, cfg)
 
     def progress(k):

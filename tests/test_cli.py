@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import crossadapt
 from crossadapt import cli, pipeline
 from crossadapt.cli import main
-from crossadapt.corpus import CorpusManifest, read_features, write_features
+from crossadapt.corpus import FEATURE_HEADER, CorpusManifest, read_features, write_features
 from crossadapt.evaluation import read_report
 from crossadapt.model import load_checkpoint, save_checkpoint
 from conftest import duplicate_tensor, set_arch_entry
@@ -503,3 +503,122 @@ class TestFreedPages:
 
         monkeypatch.setattr(cli.ctypes, "CDLL", NoMallopt)
         assert cli._keep_freed_pages() is None
+
+
+def _edit_manifest(root, rng, edit):
+    """Rewrite the manifest under ``root`` with ``edit(lines, train, i)``,
+    which changes ``lines`` in place; ``train`` holds the line indexes of
+    the clean train file's records and ``i`` one of them, drawn."""
+    path = root / "corpus" / "manifest.tsv"
+    lines = path.read_text().splitlines(keepends=True)
+    train = [i for i, ln in enumerate(lines) if "\td0/train.xdaf\t" in ln]
+    edit(lines, train, train[int(rng.integers(len(train)))])
+    path.write_text("".join(lines))
+
+
+def _set_field(field, value, pick=None):
+    """A manifest edit that sets one field of a clean train record: the
+    drawn one, or ``train[pick]``."""
+    def edit(lines, train, i):
+        i = i if pick is None else train[pick]
+        lines[i] = "\t".join(value if k == field else col for k, col in enumerate(lines[i].split("\t")))
+    return lambda root, rng: _edit_manifest(root, rng, edit)
+
+
+def _swap_ends(lines, train, i):
+    lines[train[0]], lines[train[-1]] = lines[train[-1]], lines[train[0]]
+
+
+def _flip_file(path, rng, within=None):
+    """Flip one drawn byte of ``path``, of its first ``within`` bytes if given."""
+    raw = path.read_bytes()
+    path.write_bytes(flip(raw, int(rng.integers(within or len(raw))), int(rng.integers(1, 256))))
+
+
+def _cut_file(path, rng):
+    raw = path.read_bytes()
+    path.write_bytes(raw[: int(rng.integers(len(raw)))])
+
+
+TRAINING = ("pretrain", "finetune", "adapt")
+EVERY_CORPUS_READER = (*TRAINING, "evaluate")
+ANY_EXIT = (0, 2, 3)
+
+# (case, damage(root, rng), commands that read the damaged part, exit codes
+# each may give); d0/train.xdaf is the clean train file every stage reads.
+# A flip or a cut runs at DRAWS positions, each other case once.
+DRAWS = 8
+DAMAGES = [
+    ("feature-byte-flip", lambda root, rng: _flip_file(root / "corpus/d0/train.xdaf", rng),
+     EVERY_CORPUS_READER, ANY_EXIT),
+    ("feature-header-flip", lambda root, rng: _flip_file(root / "corpus/d0/train.xdaf", rng, FEATURE_HEADER),
+     EVERY_CORPUS_READER, (2,)),
+    ("feature-truncated", lambda root, rng: _cut_file(root / "corpus/d0/train.xdaf", rng),
+     EVERY_CORPUS_READER, (2,)),
+    ("feature-width", lambda root, rng: write_features(
+        root / "corpus/d0/train.xdaf", np.hstack([read_features(root / "corpus/d0/train.xdaf")] * 2)),
+     TRAINING, (2,)),
+    ("feature-frame-count", lambda root, rng: write_features(
+        root / "corpus/d0/train.xdaf", read_features(root / "corpus/d0/train.xdaf")[:-1]),
+     EVERY_CORPUS_READER, (2,)),
+    ("feature-file-missing", lambda root, rng: (root / "corpus/d0/train.xdaf").unlink(),
+     EVERY_CORPUS_READER, (2,)),
+    ("manifest-byte-flip", lambda root, rng: _flip_file(root / "corpus/manifest.tsv", rng),
+     EVERY_CORPUS_READER, ANY_EXIT),
+    ("manifest-truncated", lambda root, rng: _cut_file(root / "corpus/manifest.tsv", rng),
+     EVERY_CORPUS_READER, ANY_EXIT),
+    ("record-order", lambda root, rng: _edit_manifest(root, rng, _swap_ends), EVERY_CORPUS_READER, (2,)),
+    ("duplicate-line",
+     lambda root, rng: _edit_manifest(root, rng, lambda lines, train, i: lines.append(lines[i])),
+     EVERY_CORPUS_READER, (2,)),
+    ("missing-line", lambda root, rng: _edit_manifest(root, rng, lambda lines, train, i: lines.pop(i)),
+     EVERY_CORPUS_READER, (2,)),
+    # the first and the last record of their file keep the generation order
+    ("speaker-id-negative", _set_field(1, "-1", pick=0), EVERY_CORPUS_READER, (2,)),
+    ("speaker-id-past-the-head", _set_field(1, "9", pick=-1), TRAINING, (2,)),
+    ("domain-id-negative", _set_field(2, "-1"), EVERY_CORPUS_READER, (2,)),
+    ("split-unknown", _set_field(3, "dev"), EVERY_CORPUS_READER, (2,)),
+    ("checkpoint-byte-flip", lambda root, rng: _flip_file(root / "ft.ckpt", rng), ("adapt", "evaluate"),
+     ANY_EXIT),
+    ("checkpoint-truncated", lambda root, rng: _cut_file(root / "pre.ckpt", rng), ("finetune",), (2,)),
+    ("checkpoint-missing", lambda root, rng: (root / "ft.ckpt").unlink(), ("adapt", "evaluate"), (2,)),
+    ("wrong-stage-checkpoint", lambda root, rng: shutil.copy(root / "ad.ckpt", root / "pre.ckpt"),
+     ("finetune",), (2,)),
+    ("report-byte-flip", lambda root, rng: _flip_file(root / "ad.report", rng), ("report",), (0, 2)),
+    ("report-truncated", lambda root, rng: _cut_file(root / "ad.report", rng), ("report",), (0, 2)),
+]
+
+CASES = [(i, k) for i, (name, *_) in enumerate(DAMAGES)
+         for k in range(DRAWS if name.endswith(("flip", "truncated")) else 1)]
+
+
+class TestDamageFuzz:
+    @pytest.mark.parametrize("case,draw", CASES, ids=[f"{DAMAGES[i][0]}-{k}" for i, k in CASES])
+    def test_a_damaged_artifact_never_ends_in_a_traceback(self, env, tmp_path, capsys, caplog, case, draw):
+        """One damage to one artifact of a copy of the chain, drawn from a
+        stream seeded by the case and draw: every command that reads it
+        exits with a code the case allows, each of them 0, 2 or 3, and
+        prints no traceback.  An error that escapes ``main``, exit 1 at
+        the shell, fails the test."""
+        name, damage, commands, allowed = DAMAGES[case]
+        root = tmp_path / "chain"
+        shutil.copytree(env["corpus"], root / "corpus")
+        for key, file in (("pre", "pre.ckpt"), ("ft", "ft.ckpt"), ("ad", "ad.ckpt"), ("ad_rep", "ad.report"),
+                          ("base_rep", "base.report")):
+            shutil.copy(env[key], root / file)
+        damage(root, np.random.default_rng([2026, case, draw]))
+        conf = ["--config", str(env["config"]), "--corpus", str(root / "corpus"),
+                *[f"--set={stage}.steps=2" for stage in TRAINING]]
+        argv = {
+            "pretrain": ["pretrain", *conf],
+            "finetune": ["finetune", *conf, "--init", str(root / "pre.ckpt")],
+            "adapt": ["adapt", *conf, "--init", str(root / "ft.ckpt")],
+            "evaluate": ["evaluate", "--ckpt", str(root / "ft.ckpt"), "--corpus", str(root / "corpus")],
+            "report": ["report", "--baseline", str(root / "base.report"), "--adapted", str(root / "ad.report")],
+        }
+        for command in commands:
+            with np.errstate(all="ignore"):  # a flipped byte can make a signalling NaN
+                rc = main(["-q", *argv[command], "--out", str(tmp_path / f"{command}.out")])
+            assert rc in allowed, (name, command, rc)
+            printed = capsys.readouterr()
+            assert "Traceback" not in printed.out + printed.err + caplog.text, (name, command)

@@ -2,6 +2,8 @@
 
 import dataclasses
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 import yaml
@@ -12,6 +14,19 @@ from crossadapt.cli import main
 from crossadapt.config import SCHEMA, apply_overrides, build_config, load_config
 from crossadapt.corpus import CorpusConfig, gen_corpus
 from crossadapt.errors import ContractError
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_every_readme_yaml_block_loads(tmp_path):
+    """Each ``yaml`` example of the README passes the schema, as written."""
+    blocks = re.findall(r"^```yaml\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"readme{i}.yaml"
+        path.write_text(block)
+        load_config(path)
 
 
 class TestDefaults:

@@ -1,5 +1,6 @@
 """Corpus generation, transform, trial, and file-format tests."""
 
+import dataclasses
 import os
 import random
 import struct
@@ -463,6 +464,16 @@ class TestManifestPaths:
                                      ManifestRecord("v", 1, 0, "train", "d0/a.xdaf", 5)])
         with pytest.raises(FileFormatError, match="malformed manifest record"):
             CorpusManifest.load(path)
+
+    @pytest.mark.parametrize("field,value", [("speaker_id", -1), ("domain_id", -1), ("split", "dev"),
+                                             ("split", "")])
+    def test_record_out_of_range_refused(self, tmp_path, field, value):
+        """A negative speaker or domain id, or a split outside SPLITS, once
+        loaded: training then failed or not by the draw, and finetune,
+        adapt and evaluate skipped the record."""
+        rec = dataclasses.replace(ManifestRecord("u", 0, 0, "train", "d0/a.xdaf", 5), **{field: value})
+        with pytest.raises(FileFormatError, match="malformed manifest record"):
+            CorpusManifest.load(self.write(tmp_path, [rec]))
 
     def test_records_out_of_generation_order_refused(self, tmp_path):
         """Shuffled, most records would read another record's rows."""

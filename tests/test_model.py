@@ -27,6 +27,8 @@ from crossadapt.model import (
     Model,
     ModelConfig,
     SubnetConfig,
+    _context_index,
+    _stack_index,
     lde_pool,
     lde_pool_backward,
     load_checkpoint,
@@ -127,19 +129,29 @@ def reference_splice_backward(dy, cache):
 
 class TestSplice:
     @given(
+        st.integers(min_value=0, max_value=4),
         st.integers(min_value=1, max_value=40),
         st.integers(min_value=1, max_value=30),
         st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=20),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=300, deadline=None)
-    def test_kernels_match_reference_bit_for_bit(self, t, d, context, seed):
+    def test_kernels_match_reference_bit_for_bit(self, n, t, d, context, fill, seed):
+        """One window [T, D] (n = 0) or a stack [n, T, D]: the product rows
+        are each window's reference splice, then ``fill`` copies of the
+        first row; the gradient is each window's ``np.add.at`` scatter."""
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=(t, d))
+        x = rng.normal(size=(t, d) if n == 0 else (n, t, d))
+        windows = x.reshape(-1, t, d)
+        refs = [reference_splice_forward(w, context) for w in windows]
+        want = np.concatenate([y for y, _ in refs])
+        filled, _ = splice_forward(x, context, len(want) + fill)
+        assert filled.shape == (len(want) + fill, want.shape[1])
+        assert filled[: len(want)].tobytes() == want.tobytes()
+        assert filled[len(want) :].tobytes() == np.repeat(want[:1], fill, axis=0).tobytes()
         y, cache = splice_forward(x, context)
-        y_ref, cache_ref = reference_splice_forward(x, context)
-        assert y.tobytes() == y_ref.tobytes()
-        assert cache[0] == cache_ref[0] and np.array_equal(cache[1], cache_ref[1])
+        assert y.tobytes() == want.tobytes()
         # mixed magnitudes make the summation order visible in the last bits;
         # exact zeros and -0.0 probe the sign of each sum's 0.0 start
         dy = rng.normal(size=y.shape) * 10.0 ** rng.integers(-8, 9, size=y.shape)
@@ -147,29 +159,66 @@ class TestSplice:
         dy[rng.random(size=y.shape) < 0.2] = -0.0
         dx = splice_backward(dy, cache)
         assert dx.shape == x.shape
-        assert dx.tobytes() == reference_splice_backward(dy, cache_ref).tobytes()
+        per_window = [reference_splice_backward(g, c) for g, (_, c) in zip(dy.reshape(len(windows), t, -1), refs)]
+        assert dx.tobytes() == np.stack(per_window).tobytes()
 
     @pytest.mark.parametrize("context", [0, 1, 2])
     @pytest.mark.parametrize("shape", [(7, 3), (1, 4), (5, 6, 3), (2, 1, 4)])
     def test_gather_equals_fancy_indexing(self, rng, shape, context):
-        """The frame-axis gather, bit for bit against ``x[idx]`` per window."""
+        """The one gather, bit for bit against ``x[idx]`` per window, the
+        windows' rows one after another."""
         x = rng.normal(size=shape)
         y, _ = splice_forward(x, context)
         t = shape[-2]
         idx = np.clip(np.arange(t)[:, None] + np.arange(-context, context + 1), 0, t - 1)
-        windows = x.reshape(-1, *shape[-2:])
-        want = np.stack([w[idx].reshape(t, -1) for w in windows]).reshape(*shape[:-1], -1)
+        want = np.concatenate([w[idx].reshape(t, -1) for w in x.reshape(-1, *shape[-2:])])
         assert y.shape == want.shape and y.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("context", [0, 1])
+    def test_rows_past_the_stack_are_fill(self, rng, context):
+        """Rows already at the product's height: a context-0 splice passes
+        them through, a wider one splices only the stack's own rows."""
+        rows = rng.normal(size=(16, 3))
+        y, _ = splice_forward(rows, context, 16, (2, 5))
+        want, _ = splice_forward(rows[:10].reshape(2, 5, 3), context, 16)
+        if context:
+            assert y.tobytes() == want.tobytes()
+        else:
+            assert y.shape == rows.shape and np.shares_memory(y, rows)
 
     def test_all_negative_zero_gradient_sums_to_positive_zero(self):
         _, cache = splice_forward(np.ones((3, 2)), 2)
         dx = splice_backward(np.full((3, 10), -0.0), cache)
         assert not np.signbit(dx).any()
 
-    def test_shared_context_index_is_read_only(self, rng):
-        _, (_, idx) = splice_forward(rng.normal(size=(6, 2)), 1)
-        with pytest.raises(ValueError):
-            idx[0, 0] = 5
+    def test_shared_context_index_is_read_only(self):
+        """Every splice with the same shape shares the cached indexes: the
+        per-window ones of the gather and the scatter, and a stack's."""
+        for idx in (_context_index(6, 1), _context_index(6, 1, 4), _stack_index(2, 6, 1, 16)):
+            with pytest.raises(ValueError):
+                idx[0] = 5
+
+    def test_backward_keeps_nothing_per_window_count(self, rng):
+        """A stack's scatter index is built per call from the per-window
+        one, so the memory the backward keeps does not grow with the number
+        of distinct window counts it has seen."""
+        t, d, context = 20, 8, 1
+        passes = []
+        for n in range(1, 41):
+            y, cache = splice_forward(rng.normal(size=(n, t, d)), context)
+            passes.append((rng.normal(size=y.shape), cache))
+        splice_backward(*passes[0])
+        tracemalloc.start()
+        try:
+            for dy, cache in passes[:2]:
+                splice_backward(dy, cache)
+            few = tracemalloc.get_traced_memory()[0]
+            for dy, cache in passes[2:]:
+                splice_backward(dy, cache)
+            many = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert many - few < 4096
 
     @given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=3))
     @settings(max_examples=25)

@@ -1,5 +1,6 @@
 """Stage-level training tests: batching, freezing, determinism, contracts."""
 
+import dataclasses
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -422,6 +423,32 @@ class TestAdapt:
         gen_corpus(tmp_path / "c4", 1, recipe(4, 10, 30, domains, input_dim=6))
         with pytest.raises(StructuralError):
             adapt(chain["ft"], tmp_path / "c4", chain["cfg"], tmp_path / "x.ckpt")
+
+
+class TestSpeakerIds:
+    @pytest.mark.parametrize("stage", ["pretrain", "finetune", "adapt"])
+    def test_a_speaker_the_head_has_no_class_for_is_refused_before_step_1(self, chain, tmp_path, monkeypatch,
+                                                                          stage):
+        """A clean train record of speaker 9 in a 4-speaker corpus.  Pretrain
+        sized its head from the 5 distinct ids, and each stage then failed
+        or not by whether a step drew that record."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(chain["corpus"], corpus)
+        man = CorpusManifest.load(corpus / "manifest.tsv")
+        last = max(i for i, r in enumerate(man.records) if r.relpath == "d0/train.xdaf")
+        man.records[last] = dataclasses.replace(man.records[last], speaker_id=9)
+        man.save(corpus / "manifest.tsv")
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(pipeline, "adam_step", no_step)
+        run = {"pretrain": lambda: pretrain(corpus, chain["cfg"], tmp_path / "x.ckpt"),
+               "finetune": lambda: finetune(chain["pre"], corpus, chain["cfg"], tmp_path / "x.ckpt"),
+               "adapt": lambda: adapt(chain["ft"], corpus, chain["cfg"], tmp_path / "x.ckpt")}[stage]
+        with pytest.raises(StructuralError, match="speaker id 9"):
+            run()
+        assert not (tmp_path / "x.ckpt").exists()
 
 
 class TestFrozenPrefix:
