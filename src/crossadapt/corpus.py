@@ -289,9 +289,12 @@ def write_features(path, features) -> None:
         raise StructuralError("features must be a nonempty [T x D] matrix")
     if not np.all(np.isfinite(features)):
         raise ContractError("refusing to write non-finite features")
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC + struct.pack("<III", FEATURE_VERSION, *features.shape))
-        fh.write(features)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(FEATURE_MAGIC + struct.pack("<III", FEATURE_VERSION, *features.shape))
+            fh.write(features)
+    except OSError as exc:
+        raise FileFormatError(f"cannot write feature file {path}: {exc}") from exc
 
 
 def _read(path, body: bool):
@@ -426,12 +429,14 @@ def gen_corpus(out_dir, seed: int, recipe: CorpusConfig) -> CorpusManifest:
     for spec in recipe.domains:
         spec.check_shape(recipe.frames_per_utt, recipe.input_dim)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # a manifest beside partly rewritten feature files would load as a corpus
-    (out_dir / "manifest.tsv").unlink(missing_ok=True)
-
-    for d in range(len(recipe.domains)):
-        (out_dir / f"d{d}").mkdir(exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        # a manifest beside partly rewritten feature files would load as a corpus
+        (out_dir / "manifest.tsv").unlink(missing_ok=True)
+        for d in range(len(recipe.domains)):
+            (out_dir / f"d{d}").mkdir(exist_ok=True)
+    except OSError as exc:
+        raise FileFormatError(f"cannot write a corpus under {out_dir}: {exc}") from exc
 
     dim, id_dim, frames = recipe.input_dim, recipe.identity_dim, recipe.frames_per_utt
     proj = substream(seed, "proj").normal(size=(id_dim, dim)) / np.sqrt(id_dim)

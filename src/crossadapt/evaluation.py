@@ -271,6 +271,11 @@ def evaluate_model(model, stage, manifest, root, checkpoint_id: str) -> EvalRepo
 
 
 def write_report(path, report: EvalReport) -> None:
+    """Write ``report`` as one header line and one line per domain.  A
+    checkpoint id that holds a line break could not be read back, so it is
+    refused."""
+    if report.checkpoint.splitlines() not in ([], [report.checkpoint]):
+        raise ContractError(f"checkpoint id {report.checkpoint!r} holds a line break")
     lines = [f"checkpoint={report.checkpoint} stage={report.stage}\n"]
     for d in sorted(report.domains, key=lambda d: d.domain_id):
         lines.append(f"domain=d{d.domain_id} eer={d.eer:.10g} trials={d.n_trials} targets={d.n_targets}\n")
@@ -284,10 +289,10 @@ def read_report(path) -> EvalReport:
         raise FileFormatError(f"cannot read evaluation report {path}: {exc}") from exc
     if not lines or not lines[0].startswith("checkpoint="):
         raise FileFormatError(f"{path} is not an evaluation report")
-    try:
-        head = dict(tok.split("=", 1) for tok in lines[0].split())
-    except ValueError as exc:
-        raise FileFormatError(f"malformed report header: {lines[0]!r}") from exc
+    # the checkpoint id, a file stem, may hold spaces and '=': it runs up to the last " stage="
+    head = re.fullmatch(r"checkpoint=(.*) stage=(\S+)", lines[0])
+    if head is None:
+        raise FileFormatError(f"malformed report header: {lines[0]!r}")
     domains = []
     for ln in lines[1:]:
         if not ln.strip():
@@ -302,7 +307,7 @@ def read_report(path) -> EvalReport:
             raise FileFormatError(f"malformed report line: {ln!r}") from exc
     if len({d.domain_id for d in domains}) != len(domains):
         raise FileFormatError(f"{path} lists a domain twice")
-    return EvalReport(head["checkpoint"], head.get("stage", "?"), domains)
+    return EvalReport(head[1], head[2], domains)
 
 
 def compare_domains(new: EvalReport, baseline: EvalReport):

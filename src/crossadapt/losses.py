@@ -262,6 +262,13 @@ def total_loss(
     call, and hold the input of trunk group ``down_to_group``: raw frames
     for 1, the frozen g1-g3 rows of each crop for 4. The trunk runs from
     that group, and its backward descends to it.
+
+    The subnets run stacked (``Model.subnet_forward``): one pass takes the
+    clean rows through all H subnets, and one pass each group of target
+    domains with equal sample counts, a single group when every domain
+    draws the same count.  Each result has the bits of the per-domain
+    passes: every subnet tensor takes its target gradient, then its clean
+    one, and the clean rows' gradient sums the domains in order.
     """
     if not 0.0 <= p <= 1.0:
         raise ContractError(f"progress must lie in [0, 1], got {p}")
@@ -273,21 +280,28 @@ def total_loss(
     cuts = np.cumsum([len(labels) for labels in batch.labels])[:-1]
     embs, enc_cache = model.encode(batch.utts, first_group=down_to_group)
     src_embs, *tgt_embs = np.split(embs, cuts)
-    src_sub = [model.subnet_forward(src_embs, h) for h in range(num_domains)]
-    dis = discrepancy_loss([cache["front"] for _, cache in src_sub])
+    domains = range(num_domains)
+    src_back, src_cache = model.subnet_forward(src_embs, domains)
+    dis = discrepancy_loss(src_cache["front"])
 
-    tgt_sub = []
+    # one stacked pass per group of target domains with equal sample counts
+    groups = {}
+    for h in domains:
+        groups.setdefault(len(tgt_embs[h]), []).append(h)
+    tgt_passes = [(hs, *model.subnet_forward(np.stack([tgt_embs[h] for h in hs]), hs))
+                  for hs in groups.values()]
+    tgt_back = {h: back[i] for hs, back, _ in tgt_passes for i, h in enumerate(hs)}
+    tgt_cls = {}
     mmd_vals, mmd_grads = [], []
     cls_total = 0.0
-    for h in range(num_domains):
-        back, cache = model.subnet_forward(tgt_embs[h], h)
-        logits, cls_cache = model.classifier_forward(back, h)
+    for h in domains:
+        logits, cls_cache = model.classifier_forward(tgt_back[h], h)
         ce, dlogits = cross_entropy_grad(logits, batch.labels[h + 1])
         cls_total += ce
-        value, dsrc, dtgt = _mmd_eval(src_sub[h][0], back, kernel, bandwidth)
+        value, dsrc, dtgt = _mmd_eval(src_back[h], tgt_back[h], kernel, bandwidth)
         mmd_vals.append(value)
         mmd_grads.append((dsrc, dtgt))
-        tgt_sub.append((cache, cls_cache, dlogits))
+        tgt_cls[h] = (cls_cache, dlogits)
     mmd_total = float(sum(mmd_vals))
     out = LossBreakdown(
         dis=dis, mmd=mmd_total, cls=cls_total, mu=mu, total=mu * (mmd_total + dis) + cls_total
@@ -295,14 +309,16 @@ def total_loss(
     if grads is None:
         return out
 
-    dis_grads = discrepancy_backward([cache["front"] for _, cache in src_sub], upstream=mu)
+    # each subnet tensor takes its target gradient, then its clean one
     dembs = np.zeros_like(embs)
     dsrc_embs, *dtgt_embs = np.split(dembs, cuts)
-    for h in range(num_domains):
-        sub_cache, cls_cache, dlogits = tgt_sub[h]
-        dsrc_back, dtgt_back = mmd_grads[h]
-        dback = mu * dtgt_back + model.classifier_backward(dlogits, cls_cache, grads)
-        dtgt_embs[h][...] = model.subnet_backward(dback, None, sub_cache, grads)
-        dsrc_embs += model.subnet_backward(mu * dsrc_back, dis_grads[h], src_sub[h][1], grads)
+    for hs, _, cache in tgt_passes:
+        dback = np.stack([mu * mmd_grads[h][1] + model.classifier_backward(tgt_cls[h][1], tgt_cls[h][0], grads)
+                          for h in hs])
+        for h, dtgt in zip(hs, model.subnet_backward(dback, None, cache, grads)):
+            dtgt_embs[h][...] = dtgt
+    dis_grads = discrepancy_backward(src_cache["front"], upstream=mu)
+    dsrc_back = np.stack([mu * dsrc for dsrc, _ in mmd_grads])
+    dsrc_embs += model.subnet_backward(dsrc_back, np.stack(dis_grads), src_cache, grads)
     model.encode_backward(dembs, enc_cache, grads)
     return out

@@ -261,6 +261,52 @@ def relu_backward(dy, cache):
     return dy * (cache > 0.0)
 
 
+# numpy reduces a short last axis one short run at a time; from this many rows
+# _sum_last takes the same sums in fewer, longer passes
+_SUM_ROWS = 512
+
+
+def _pairwise_columns(x, lo: int, n: int):
+    """numpy's pairwise sum of columns lo..lo+n-1 of ``x``, as column adds."""
+    if n < 8:  # in order, from -0.0, which leaves the first column as it is
+        res = x[..., lo] if n == 1 else x[..., lo] + x[..., lo + 1]
+        for i in range(lo + 2, lo + n):
+            res += x[..., i]
+        return res
+    if n <= 128:  # eight accumulators over the blocks of 8, then the rest in order
+        end = lo + n - n % 8
+        r = [x[..., lo + j] for j in range(8)]
+        if end > lo + 8:
+            r = [x[..., lo + j] + x[..., lo + 8 + j] for j in range(8)]
+            for i in range(lo + 16, end, 8):
+                for j in range(8):
+                    r[j] += x[..., i + j]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, lo + n):
+            res += x[..., i]
+        return res
+    half = n // 2 - n // 2 % 8  # halves split at a multiple of 8
+    return _pairwise_columns(x, lo, half) + _pairwise_columns(x, lo + half, n - half)
+
+
+def _sum_last(x):
+    """``x.sum(axis=-1, keepdims=True)``, bit for bit: numpy adds a row's
+    entries pairwise to its 0.0 identity, and so do the column adds here."""
+    if x.size < _SUM_ROWS * x.shape[-1]:
+        return x.sum(axis=-1, keepdims=True)
+    return (0.0 + _pairwise_columns(x, 0, x.shape[-1]))[..., None]
+
+
+def _sum_frames(x):
+    """``x.sum(axis=-2)``, bit for bit.  Over K > 1 contiguous columns numpy
+    and einsum both add the T rows in order to 0.0, one row of K at a time,
+    and einsum's loop costs less per row; a one-wide axis numpy sums
+    pairwise, so that, and any other layout, stays numpy's."""
+    if x.shape[-1] == 1 or not x.flags.c_contiguous:
+        return x.sum(axis=-2)
+    return np.einsum("...tk->...k", x)
+
+
 def lde_pool(frames, dictionary, log_scale):
     """Pool frames [..., T, D] into embeddings [..., K*D] by soft assignment.
 
@@ -270,12 +316,15 @@ def lde_pool(frames, dictionary, log_scale):
     utterances of equal length; each is pooled on its own.
 
     The frames of each utterance are first put in a canonical order, a stable
-    sort of their rows' bytes.  Every sum over frames then sees the same
-    summands in the same order whatever order the frames came in, so the
-    result is exactly (bitwise) permutation-invariant.  Distances use the
-    expansion ``|f|^2 - 2 f.d + |d|^2``, which needs no [T,K,D] residual
-    tensor but cancels to a rounding error of either sign when a frame sits
-    on a component; clamping at 0 keeps every distance non-negative.
+    sort of their rows' bytes (each row viewed as one byte string).  Every
+    sum over frames then sees the same summands in the same order whatever
+    order the frames came in, so the result is exactly (bitwise)
+    permutation-invariant.  Distances use the expansion
+    ``|f|^2 - 2 f.d + |d|^2``, which needs no [T,K,D] residual tensor but
+    cancels to a rounding error of either sign when a frame sits on a
+    component; clamping at 0 keeps every distance non-negative.  The sums
+    over the K components and over the T frames are numpy's own, taken in
+    fewer passes (``_sum_last``, ``_sum_frames``).
     """
     rows = np.ascontiguousarray(frames, dtype=np.float64)
     if rows.ndim < 2 or rows.shape[-2] < 1:
@@ -283,7 +332,9 @@ def lde_pool(frames, dictionary, log_scale):
     if rows.shape[-1] != dictionary.shape[1]:
         raise StructuralError("frame dim does not match dictionary component dim")
     t, d = rows.shape[-2:]
-    order = np.argsort(rows.view(np.dtype((np.void, rows.itemsize * d)))[..., 0], axis=-1, kind="stable")
+    # a byte string compares as unsigned bytes, as np.void does, without a
+    # generic compare call per pair
+    order = np.argsort(rows.view(f"S{rows.itemsize * d}")[..., 0], axis=-1, kind="stable")
     # flat row of each canonical frame, so one take gathers every utterance
     order = (order + t * np.arange(order.size // t).reshape(*order.shape[:-1], 1)).reshape(-1)
     f = np.take(rows.reshape(-1, d), order, axis=0).reshape(rows.shape)
@@ -301,10 +352,10 @@ def lde_pool(frames, dictionary, log_scale):
         np.maximum(peak, logits[..., j], out=peak)
     logits -= peak[..., None]
     w = np.exp(logits, out=logits)
-    w /= w.sum(axis=-1, keepdims=True)
+    w /= _sum_last(w)
     # per-row softmax is strictly positive, but a component every frame is far
     # from can underflow to 0 mass; floor it so starved components pool to ~0
-    msum = w.sum(axis=-2)  # [..., K]
+    msum = _sum_frames(w)  # [..., K]
     mass = np.maximum(msum, np.finfo(np.float64).tiny)
     # normalized per-component weights (each column sums to 1, or to 0 for a
     # fully starved component); backward works in this scale so that 1/mass
@@ -329,21 +380,22 @@ def lde_pool_backward(dout, cache):
     gw = f @ np.swapaxes(de, -1, -2)
     gw -= np.einsum("...kd,...kd->...k", de, dictionary + agg)[..., None, :]
     ug = np.multiply(u, gw, out=gw)
-    spare = w * ug.sum(axis=-1, keepdims=True)
+    spare = w * _sum_last(ug)
     gl = np.subtract(ug, spare, out=ug)  # softmax backward per frame
     k, d = dictionary.shape
-    dlog_scale = -s * np.multiply(gl, sqdist, out=spare).reshape(-1, k).sum(axis=0)
+    dlog_scale = -s * _sum_frames(np.multiply(gl, sqdist, out=spare).reshape(-1, k))
     a = np.multiply(2.0 * s, gl, out=gl)  # gradient of the residual f_t - d_k is u de_k - a (f_t - d_k)
     ddict = np.swapaxes(a, -1, -2) @ f
-    ddict -= a.sum(axis=-2)[..., None] * dictionary
+    ddict -= _sum_frames(a)[..., None] * dictionary
     ddict -= usum[..., None] * de
     ddict = ddict.reshape(-1, k, d).sum(axis=0)
     dsorted = u @ de
     dsorted += a @ dictionary
-    dsorted -= a.sum(axis=-1, keepdims=True) * f
-    dframes = np.empty((order.size, d))
-    dframes[order] = dsorted.reshape(-1, d)
-    return dframes.reshape(f.shape), ddict, dlog_scale
+    dsorted -= _sum_last(a) * f
+    # back to the input order: a gather through the inverse permutation
+    unsort = np.empty_like(order)
+    unsort[order] = np.arange(order.size)
+    return np.take(dsorted.reshape(-1, d), unsort, axis=0).reshape(f.shape), ddict, dlog_scale
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +466,16 @@ class Model:
     def __init__(self, config: ModelConfig, params: dict):
         self.config = config
         self.params = params
+        self._stacks = {}
+        self._stack_subnets()
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def create(cls, config: ModelConfig, seed: int, with_subnets: bool = False) -> "Model":
-        model = cls(config, {})
-        _init_missing(model.params, _param_shapes(config, with_subnets), seed)
-        return model
+        params = {}
+        _init_missing(params, _param_shapes(config, with_subnets), seed)
+        return cls(config, params)
 
     def ensure_subnets(self, seed: int) -> None:
         """Materialize per-domain subnets and classifiers (no-op if present).
@@ -431,11 +485,26 @@ class Model:
         early discrepancy/alignment losses are exactly zero rather than noise
         between unrelated random maps.
         """
-        _init_missing(self.params, _param_shapes(self.config, True), seed)
+        if not self.has_subnets:
+            _init_missing(self.params, _param_shapes(self.config, True), seed)
+            self._stack_subnets()
 
     @property
     def has_subnets(self) -> bool:
         return "sub0.front.0.W" in self.params
+
+    def _stack_subnets(self) -> None:
+        """Hold each subnet tensor as a view of one block [H, ...] per layer
+        and kind, so that a pass through every subnet multiplies by the block
+        itself, with no copy.  The optimizer updates the views in place."""
+        if not self.has_subnets:
+            return
+        for layer in _SUBNET_LAYERS:
+            for kind in "Wb":
+                names = [f"sub{d}.{layer}.{kind}" for d in range(self.config.subnet.num_domains)]
+                block = np.array([self.params[name] for name in names])
+                self.params.update(zip(names, block))
+                self._stacks[layer, kind] = block, [self.params[name] for name in names]
 
     # -- trunk ------------------------------------------------------------
 
@@ -528,7 +597,7 @@ class Model:
             dpre = relu_backward(dh.reshape(relu_cache.shape), relu_cache)
             windows = sp_cache[1:3]  # (N, T)
             dw = (np.swapaxes(x.reshape(windows + (-1,)), -1, -2) @ dpre.reshape(windows + (-1,))).sum(axis=0)
-            db = dpre.reshape(windows + (-1,)).sum(axis=-2).sum(axis=0)
+            db = _sum_frames(dpre.reshape(windows + (-1,))).sum(axis=0)
             _accum(grads, f"g{g + 1}.W", dw)
             _accum(grads, f"g{g + 1}.b", db)
             # the input gradient of the lowest group run is never used
@@ -588,50 +657,83 @@ class Model:
                 f"domain {domain} outside configured range 0..{self.config.subnet.num_domains - 1}"
             )
 
-    def subnet_forward(self, emb, domain: int, stage: str = "full", mode: str = "train"):
-        """Domain subnet on embeddings [n x K*D]: the two front layers, then
-        the back half, whose final layer has no activation.
+    def subnet_forward(self, emb, domains, stage: str = "full", mode: str = "train"):
+        """Domain subnets on embeddings [..., n x K*D]: the two front layers,
+        then the back half, whose final layer has no activation.
 
-        The cache exposes the front output, the space where cross-domain
-        agreement is measured, under ``cache['front']``.  ``stage`` takes
-        only ``'full'``; it remains for callers that pass it positionally
-        (perfbench/kernels.py).
+        ``domains`` is one domain or a sequence of H domains.  A sequence
+        runs each layer as one batched product over its weights stacked
+        [H, in, out], and ``emb`` broadcasts against that stack as in
+        numpy's matmul: a batch [n x K*D] goes through every subnet, a stack
+        [H x n x K*D] pairs its h-th batch with the h-th domain, and the
+        outputs gain a leading H axis.  Each item of a batched product is the
+        product one domain alone would make, so every row has the bits of
+        that domain's pass.  The cache exposes the front output, the space
+        where cross-domain agreement is measured, under ``cache['front']``.
+        ``stage`` takes only ``'full'``; it remains for callers that pass it
+        positionally (perfbench/kernels.py).
         """
-        self._check_domain(domain)
+        single = isinstance(domains, (int, np.integer))
+        names = f"sub{domains}" if single else [f"sub{d}" for d in domains]
+        for domain in [domains] if single else domains:
+            self._check_domain(domain)
         if stage != "full":
             raise ContractError(f"unknown subnet stage {stage!r}")
         h = np.atleast_2d(np.asarray(emb, dtype=np.float64))
         steps = []
         for i, layer in enumerate(_SUBNET_LAYERS):
-            name = f"sub{domain}.{layer}"
-            pre, af_cache = affine_forward(h, self.params[f"{name}.W"], self.params[f"{name}.b"])
-            h, relu_cache = (pre, None) if i == 3 else relu_forward(pre)
+            x = h
+            h = x @ self._subnet_param(names, layer, "W") + self._subnet_param(names, layer, "b")[..., None, :]
+            relu_cache = None
+            if i < 3:
+                h, relu_cache = relu_forward(h)
             if i == 1:
                 front = h
             if mode == "train":
-                steps.append((name, af_cache, relu_cache))
+                steps.append((names, layer, x, relu_cache))
         return h, {"steps": steps, "front": front}
 
     def subnet_backward(self, dout, dfront, cache, grads):
         """Backward through a full-stage subnet pass.
 
         ``dout`` is the gradient at the back output, ``dfront`` an extra
-        gradient injected at the front output (either may be None).
+        gradient injected at the front output (either may be None).  Returns
+        the gradient shaped like the pass's ``emb``: a batch that went
+        through several subnets gets their gradients summed in domain order.
         """
         steps = cache["steps"]
         dh = None if dout is None else np.atleast_2d(dout)
         for i in range(len(steps) - 1, -1, -1):
-            layer, af_cache, relu_cache = steps[i]
+            names, layer, x, relu_cache = steps[i]
             if i == 1 and dfront is not None:
                 extra = np.atleast_2d(dfront)
                 dh = extra if dh is None else dh + extra
             if dh is None:
                 continue
             dpre = dh if relu_cache is None else relu_backward(dh, relu_cache)
-            dh, dw, db = affine_backward(dpre, af_cache)
-            _accum(grads, f"{layer}.W", dw)
-            _accum(grads, f"{layer}.b", db)
+            dh = dpre @ np.swapaxes(self._subnet_param(names, layer, "W"), -1, -2)
+            dw, db = np.swapaxes(x, -1, -2) @ dpre, dpre.sum(axis=-2)
+            if isinstance(names, str):
+                dw, db, names = [dw], [db], [names]
+            for name, gw, gb in zip(names, dw, db):
+                _accum(grads, f"{name}.{layer}.W", gw)
+                _accum(grads, f"{name}.{layer}.b", gb)
+        if dh is not None and dh.ndim > steps[0][2].ndim:
+            dh = dh.sum(axis=0)  # from 0.0, as a sum of the domains' passes in order
         return dh
+
+    def _subnet_param(self, names, layer: str, kind: str):
+        """Tensor ``kind`` (W or b) of subnet ``layer``: one subnet's own, or
+        a sequence's on a leading H axis.  Every subnet in order is the block
+        its tensors are views of (``_stack_subnets``); a subset, or tensors
+        bound anew since, are stacked into a copy."""
+        if isinstance(names, str):
+            return self.params[f"{names}.{layer}.{kind}"]
+        tensors = [self.params[f"{name}.{layer}.{kind}"] for name in names]
+        block, views = self._stacks.get((layer, kind), (None, ()))
+        if len(tensors) == len(views) and all(t is v and t.base is block for t, v in zip(tensors, views)):
+            return block
+        return np.array(tensors)
 
     def _dense_forward(self, layer: str, emb):
         emb = np.atleast_2d(np.asarray(emb, dtype=np.float64))
@@ -728,7 +830,9 @@ class FrozenPrefix:
         tabled = [i for i, (utt, s) in enumerate(keys) if s is not None and utt in self.table and size > 2 * r]
         out = np.empty((len(crops), size, self.model.config.extractor.group_dims[FROZEN_GROUPS - 1]))
         if tabled and r:
-            windows = np.stack([w for i in tabled for w in (crops[i][: 2 * r], crops[i][-2 * r :])])
+            # each crop's first and last 2R frames, as [2N, 2R, D] windows in crop order
+            edge = np.r_[: 2 * r, size - 2 * r : size]
+            windows = np.take(np.stack([crops[i] for i in tabled]), edge, axis=1).reshape(2 * len(tabled), 2 * r, -1)
             edges = self.model._groups_forward(windows, 1, FROZEN_GROUPS, "eval")[0]
             out[tabled, :r] = edges[0::2, :r]
             out[tabled, size - r :] = edges[1::2, r:]
@@ -851,8 +955,7 @@ def load_checkpoint(path):
     config = _config_from_arch(tensors.pop(_ARCH_TENSOR))
     if config.fingerprint() != stored_fp:
         raise FingerprintMismatchError("checkpoint fingerprint does not match its stored architecture")
-    model = Model(config, tensors)
-    expected = _param_shapes(config, model.has_subnets)
+    expected = _param_shapes(config, "sub0.front.0.W" in tensors)
     have = {name: arr.shape for name, arr in tensors.items()}
     if have != expected:
         missing = sorted(expected.keys() - have.keys())
@@ -861,4 +964,4 @@ def load_checkpoint(path):
         raise FileFormatError(
             f"checkpoint parameter set malformed; missing={missing} extra={extra} misshapen={misshapen}"
         )
-    return model, CheckpointMeta(STAGES[stage_byte], step, stored_fp)
+    return Model(config, tensors), CheckpointMeta(STAGES[stage_byte], step, stored_fp)

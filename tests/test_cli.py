@@ -285,6 +285,42 @@ class TestExitCodes:
             bad.write_bytes(flip(env["ad_rep"].read_bytes(), where, mask))
             assert main(["-q", "report", "--baseline", str(env["base_rep"]), "--adapted", str(bad)]) in (0, 2)
 
+    @pytest.mark.parametrize("case", ["out-is-a-file", "out-beneath-a-file", "manifest-is-a-directory",
+                                      "feature-file-is-a-directory"])
+    def test_unusable_corpus_path_exits_2(self, tmp_path, case):
+        """An output path gen-corpus cannot write is a file error, not a traceback."""
+        out = tmp_path / "c"
+        if case == "out-is-a-file":
+            out.write_text("x")
+        elif case == "out-beneath-a-file":
+            (tmp_path / "f").write_text("x")
+            out = tmp_path / "f" / "c"
+        elif case == "manifest-is-a-directory":
+            (out / "manifest.tsv").mkdir(parents=True)
+        else:
+            (out / "d1" / "train.xdaf").mkdir(parents=True)
+        assert main(["-q", "gen-corpus", "--set", "corpus.num_speakers=4", "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("stem", ["my run", "a=b", "x stage=y"])
+    def test_report_reads_what_evaluate_wrote(self, env, tmp_path, stem):
+        """A checkpoint stem with a space or '=' goes into the report header,
+        and ``report`` reads that header back."""
+        ckpt = tmp_path / f"{stem}.ckpt"
+        shutil.copyfile(env["ft"], ckpt)
+        out = tmp_path / "r.report"
+        assert main(["-q", "evaluate", "--ckpt", str(ckpt), "--corpus", str(env["corpus"]),
+                     "--domain", "1", "--out", str(out)]) == 0
+        assert read_report(out).checkpoint.startswith(f"{stem}:finetune@")
+        assert main(["-q", "report", "--baseline", str(out), "--adapted", str(out)]) == 0
+
+    def test_checkpoint_stem_with_a_line_break_exits_2(self, env, tmp_path):
+        ckpt = tmp_path / "two\nlines.ckpt"
+        shutil.copyfile(env["ft"], ckpt)
+        out = tmp_path / "r.report"
+        assert main(["-q", "evaluate", "--ckpt", str(ckpt), "--corpus", str(env["corpus"]),
+                     "--domain", "1", "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_missing_checkpoint_exits_2(self, env, tmp_path):
         missing = str(tmp_path / "missing.ckpt")
         rc = main(["-q", "evaluate", "--ckpt", missing, "--corpus", str(env["corpus"]),

@@ -359,6 +359,23 @@ class TestReports:
         assert back.checkpoint == new.checkpoint and back.stage == new.stage
         assert back.domains == new.domains
 
+    @pytest.mark.parametrize("checkpoint", ["my run:adapt@5", "a=b:adapt@5", "x stage=y:adapt@5", " ", ""])
+    def test_round_trip_of_a_checkpoint_id_with_spaces_or_equals(self, tmp_path, checkpoint):
+        _, new = self.reports()
+        new.checkpoint = checkpoint
+        write_report(tmp_path / "r.txt", new)
+        back = read_report(tmp_path / "r.txt")
+        assert back.checkpoint == checkpoint and back.stage == new.stage
+        assert back.domains == new.domains
+
+    @pytest.mark.parametrize("checkpoint", ["two\nlines", "ends\r", "form\x0cfeed", "sep\u2028"])
+    def test_a_checkpoint_id_with_a_line_break_is_refused(self, tmp_path, checkpoint):
+        _, new = self.reports()
+        new.checkpoint = checkpoint
+        with pytest.raises(ContractError):
+            write_report(tmp_path / "r.txt", new)
+        assert not (tmp_path / "r.txt").exists()
+
     def test_reject_garbage(self, tmp_path):
         (tmp_path / "bad.txt").write_text("hello\n")
         with pytest.raises(FileFormatError):

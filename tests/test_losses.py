@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from crossadapt.errors import ContractError, StructuralError
 from crossadapt.losses import (
     DomainBatch,
+    _mmd_eval,
     cross_entropy_grad,
     discrepancy_backward,
     discrepancy_loss,
@@ -19,9 +20,9 @@ from crossadapt.losses import (
     total_loss,
 )
 from crossadapt.model import Model
-from crossadapt.numkit import ParamGroup, OptimState, adam_step
+from crossadapt.numkit import ParamGroup, OptimState, adam_step, progressive_weight
 
-from conftest import micro_config
+from conftest import blas_corename, default_like_config, jitter_params, micro_config, run_under_kernel
 from gradcheck import grad_check
 
 
@@ -372,3 +373,134 @@ class TestComposite:
             cur = total_loss(batch, model, p=0.0).cls
             assert cur < prev + 1e-12
             prev = cur
+
+
+def per_domain_total_loss(batch, model, p, kernel="linear", bandwidth=None, grads=None):
+    """``total_loss`` as it ran before the subnets were stacked: each domain's
+    subnet runs alone, once over the clean rows and once over its own, and
+    ``dsrc`` sums the domains' clean gradients in order."""
+    num_domains = batch.num_domains
+    mu = progressive_weight(p, 10.0)
+    cuts = np.cumsum([len(labels) for labels in batch.labels])[:-1]
+    embs, enc_cache = model.encode(batch.utts)
+    src_embs, *tgt_embs = np.split(embs, cuts)
+    src_sub = [model.subnet_forward(src_embs, h) for h in range(num_domains)]
+    dis = discrepancy_loss([cache["front"] for _, cache in src_sub])
+    tgt_sub, mmd_vals, mmd_grads = [], [], []
+    cls_total = 0.0
+    for h in range(num_domains):
+        back, cache = model.subnet_forward(tgt_embs[h], h)
+        logits, cls_cache = model.classifier_forward(back, h)
+        ce, dlogits = cross_entropy_grad(logits, batch.labels[h + 1])
+        cls_total += ce
+        value, dsrc, dtgt = _mmd_eval(src_sub[h][0], back, kernel, bandwidth)
+        mmd_vals.append(value)
+        mmd_grads.append((dsrc, dtgt))
+        tgt_sub.append((cache, cls_cache, dlogits))
+    mmd_total = float(sum(mmd_vals))
+    out = (dis, mmd_total, cls_total, mu, mu * (mmd_total + dis) + cls_total)
+    dis_grads = discrepancy_backward([cache["front"] for _, cache in src_sub], upstream=mu)
+    dembs = np.zeros_like(embs)
+    dsrc_embs, *dtgt_embs = np.split(dembs, cuts)
+    for h in range(num_domains):
+        sub_cache, cls_cache, dlogits = tgt_sub[h]
+        dsrc_back, dtgt_back = mmd_grads[h]
+        dback = mu * dtgt_back + model.classifier_backward(dlogits, cls_cache, grads)
+        dtgt_embs[h][...] = model.subnet_backward(dback, None, sub_cache, grads)
+        dsrc_embs += model.subnet_backward(mu * dsrc_back, dis_grads[h], src_sub[h][1], grads)
+    model.encode_backward(dembs, enc_cache, grads)
+    return out, dembs
+
+
+# (config, clean count, target counts): equal counts make one stacked target
+# pass, ragged ones a pass per count
+STACK_CASES = [
+    ("micro", 3, (3, 3)), ("micro", 2, (2, 3)), ("micro", 4, (3, 3, 3)), ("micro", 3, (2, 4, 2)),
+    ("micro", 2, (3, 3, 3, 3)), ("micro", 3, (2, 3, 4, 3)), ("default", 5, (4, 4, 4)), ("default", 4, (2, 3, 2)),
+]
+
+
+def assert_stacked_equals_per_domain(config, n_src, counts, kernel, seed=0):
+    """``total_loss`` gives the per-domain form's loss parts, every grad and
+    the embedding gradient of every clean and target row, bit for bit."""
+    num_domains = len(counts)
+    if config == "micro":
+        cfg = micro_config(num_domains=num_domains)
+    else:
+        cfg = default_like_config()
+        cfg = type(cfg)(cfg.extractor, cfg.lde, type(cfg.subnet)(cfg.subnet.front_dims, cfg.subnet.back_dims,
+                                                                   num_domains), cfg.num_speakers)
+    model = jitter_params(Model.create(cfg, seed=seed, with_subnets=True))
+    rng = np.random.default_rng(seed)
+    utts = rng.normal(size=(n_src + sum(counts), 9, cfg.extractor.input_dim))
+    labels = [rng.integers(0, cfg.num_speakers, size=n) for n in (n_src, *counts)]
+    batch = DomainBatch(utts, labels)
+    bandwidth = 1.3 if kernel == "rbf" else None
+    seen = []
+    encode_backward = model.encode_backward
+
+    def record(demb, cache, grads):
+        seen.append(demb.copy())
+        encode_backward(demb, cache, grads)
+
+    model.encode_backward = record
+    grads, ref_grads = {}, {}
+    out = total_loss(batch, model, p=0.6, kernel=kernel, bandwidth=bandwidth, grads=grads)
+    ref, ref_dembs = per_domain_total_loss(batch, model, 0.6, kernel, bandwidth, ref_grads)
+    where = (config, n_src, counts, kernel)
+    assert (out.dis, out.mmd, out.cls, out.mu, out.total) == ref, where
+    assert seen[0].tobytes() == ref_dembs.tobytes(), where
+    assert set(grads) == set(ref_grads), where
+    for name in ref_grads:
+        assert grads[name].tobytes() == ref_grads[name].tobytes(), (where, name)
+
+
+def assert_stacked_equals_per_domain_everywhere():
+    for case in STACK_CASES:
+        for kernel in ("linear", "rbf"):
+            assert_stacked_equals_per_domain(*case, kernel)
+
+
+class TestStackedSubnets:
+    @pytest.mark.parametrize("kernel", ["linear", "rbf"])
+    @pytest.mark.parametrize("config,n_src,counts", STACK_CASES)
+    def test_one_pass_per_count_equals_the_per_domain_passes(self, config, n_src, counts, kernel):
+        assert_stacked_equals_per_domain(config, n_src, counts, kernel)
+
+    def test_under_another_blas_kernel(self):
+        """The equality rests on each item of a batched product making the
+        per-domain product's BLAS call, so it holds on the other kernel
+        too: Haswell's, or SkylakeX's where Haswell's are the default."""
+        code = "import test_losses\ntest_losses.assert_stacked_equals_per_domain_everywhere()\n"
+        for kernel in [k for k in ("Haswell", "SkylakeX") if k != blas_corename()]:
+            if run_under_kernel(kernel, code) is not None:
+                return
+        pytest.skip(f"the host runs neither Haswell's nor SkylakeX's kernels but {blas_corename()}")
+
+    def test_the_stacked_pass_reads_the_current_weights(self, generic_model, rng):
+        """The optimizer updates a subnet tensor in place, and a caller may
+        bind a new array to its name: a pass through every subnet reads the
+        weights as they are now either way."""
+        emb = rng.normal(size=(4, 8))
+        generic_model.params["sub1.front.0.W"] -= 0.25
+        generic_model.params["sub0.back.1.b"] = generic_model.params["sub0.back.1.b"] + 1.0
+        out, cache = generic_model.subnet_forward(emb, range(2))
+        for h in range(2):
+            alone, alone_cache = generic_model.subnet_forward(emb, h)
+            assert out[h].tobytes() == alone.tobytes()
+            assert cache["front"][h].tobytes() == alone_cache["front"].tobytes()
+
+    def test_one_domain_and_a_sequence_of_one_agree(self, generic_model, rng):
+        emb = rng.normal(size=(5, 8))
+        alone, cache = generic_model.subnet_forward(emb, 1)
+        (stacked,), stacked_cache = generic_model.subnet_forward(emb, [1])
+        assert alone.tobytes() == stacked.tobytes()
+        assert cache["front"].tobytes() == stacked_cache["front"][0].tobytes()
+        dout = rng.normal(size=alone.shape)
+        grads, stacked_grads = {}, {}
+        demb = generic_model.subnet_backward(dout, None, cache, grads)
+        stacked_demb = generic_model.subnet_backward(dout[None], None, stacked_cache, stacked_grads)
+        assert demb.tobytes() == stacked_demb.tobytes()
+        assert grads.keys() == stacked_grads.keys()
+        for name in grads:
+            assert grads[name].tobytes() == stacked_grads[name].tobytes(), name

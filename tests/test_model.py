@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossadapt import fileio
+from crossadapt import model as model_mod
 from crossadapt.errors import (
     BadMagicError,
     BadVersionError,
@@ -316,6 +317,78 @@ def plain_lde_pool_backward(dout, cache):
     return dframes.reshape(f.shape), ddict, dlog_scale
 
 
+def void_sort_lde_pool(frames, dictionary, log_scale):
+    """``lde_pool`` as it ran before the byte-string sort and the column
+    sums: each row sorted as one np.void, numpy's own sums over the K
+    components and over the T frames, and a scatter back to the input
+    order in the backward.  The current form must give its bits."""
+    rows = np.ascontiguousarray(frames, dtype=np.float64)
+    if rows.ndim < 2 or rows.shape[-2] < 1:
+        raise AssertionError("dictionary pooling needs at least one frame")
+    if rows.shape[-1] != dictionary.shape[1]:
+        raise AssertionError("frame dim does not match dictionary component dim")
+    t, d = rows.shape[-2:]
+    order = np.argsort(rows.view(np.dtype((np.void, rows.itemsize * d)))[..., 0], axis=-1, kind="stable")
+    # flat row of each canonical frame, so one take gathers every utterance
+    order = (order + t * np.arange(order.size // t).reshape(*order.shape[:-1], 1)).reshape(-1)
+    f = np.take(rows.reshape(-1, d), order, axis=0).reshape(rows.shape)
+    s = np.exp(log_scale)
+    sqdist = f @ dictionary.T
+    sqdist *= 2.0
+    np.subtract(np.einsum("...td,...td->...t", f, f)[..., None], sqdist, out=sqdist)
+    sqdist += np.einsum("kd,kd->k", dictionary, dictionary)
+    np.maximum(sqdist, 0.0, out=sqdist)
+    logits = -s * sqdist
+    # each row's max as a running maximum over the K columns: a max is exact
+    # in any order, and numpy reduces a short last axis slowly
+    peak = logits[..., 0].copy()
+    for j in range(1, logits.shape[-1]):
+        np.maximum(peak, logits[..., j], out=peak)
+    logits -= peak[..., None]
+    w = np.exp(logits, out=logits)
+    w /= w.sum(axis=-1, keepdims=True)
+    # per-row softmax is strictly positive, but a component every frame is far
+    # from can underflow to 0 mass; floor it so starved components pool to ~0
+    msum = w.sum(axis=-2)  # [..., K]
+    mass = np.maximum(msum, np.finfo(np.float64).tiny)
+    # normalized per-component weights (each column sums to 1, or to 0 for a
+    # fully starved component); backward works in this scale so that 1/mass
+    # never appears as a bare factor that could overflow
+    u = w / mass[..., None, :]
+    usum = msum / mass  # the column sums of u, in closed form
+    agg = np.swapaxes(u, -1, -2) @ f  # [..., K, D]
+    agg -= usum[..., None] * dictionary
+    cache = (order, f, dictionary, sqdist, w, u, usum, agg, s)
+    return agg.reshape(*agg.shape[:-2], -1), cache
+
+
+def void_sort_lde_pool_backward(dout, cache):
+    """The backward of ``void_sort_lde_pool``."""
+    order, f, dictionary, sqdist, w, u, usum, agg, s = cache
+    de = dout.reshape(agg.shape)  # [..., K, D]
+    # weight gradient de_k . (f_t - d_k - agg_k) combines the numerator and the
+    # normalizing-mass paths; the mass division is folded into u so starved
+    # components get gradient 0
+    gw = f @ np.swapaxes(de, -1, -2)
+    gw -= np.einsum("...kd,...kd->...k", de, dictionary + agg)[..., None, :]
+    ug = np.multiply(u, gw, out=gw)
+    spare = w * ug.sum(axis=-1, keepdims=True)
+    gl = np.subtract(ug, spare, out=ug)  # softmax backward per frame
+    k, d = dictionary.shape
+    dlog_scale = -s * np.multiply(gl, sqdist, out=spare).reshape(-1, k).sum(axis=0)
+    a = np.multiply(2.0 * s, gl, out=gl)  # gradient of the residual f_t - d_k is u de_k - a (f_t - d_k)
+    ddict = np.swapaxes(a, -1, -2) @ f
+    ddict -= a.sum(axis=-2)[..., None] * dictionary
+    ddict -= usum[..., None] * de
+    ddict = ddict.reshape(-1, k, d).sum(axis=0)
+    dsorted = u @ de
+    dsorted += a @ dictionary
+    dsorted -= a.sum(axis=-1, keepdims=True) * f
+    dframes = np.empty((order.size, d))
+    dframes[order] = dsorted.reshape(-1, d)
+    return dframes.reshape(f.shape), ddict, dlog_scale
+
+
 def assert_same_bits(a, b, name):
     """Bit-equal but for the sign of a NaN, which numpy's max reduction and
     a running maximum can leave apart; no NaN reaches a checkpoint or a
@@ -450,6 +523,99 @@ class TestLdePooling:
 
         point = {"frames": frames, "dict": rng.normal(size=(2, 3)), "ls": rng.normal(size=2)}
         assert grad_check(f, point) < 1e-4
+
+
+def adversarial_rows(rng, lead, t, d):
+    """Frames [*lead, t, d] that a byte sort must order as np.void does:
+    signed zeros, NaNs of either sign and several payloads, infinities,
+    denormals, repeated rows and rows that share a long prefix."""
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0x7FF8000000000123],
+                    dtype=np.uint64).view(np.float64)
+    specials = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, 1.0, -1.0], nans])
+    x = rng.choice(specials, size=(*lead, t, d))
+    normal = rng.random(x.shape) < 0.3
+    x[normal] = rng.normal(size=int(normal.sum()))
+    rows = x.reshape(-1, t, d)
+    rows[:, 1::3] = rows[:, :1]  # repeated rows tie
+    rows[:, 2::5, : d // 2] = rows[:, :1, : d // 2]  # shared prefixes, other tails
+    return x
+
+
+class TestLdeExactness:
+    """The byte-string sort, the column sums and the unsort gather give
+    every bit of the np.void sort, numpy's reductions and the scatter."""
+
+    @pytest.mark.parametrize("t", [1, 2, 60, 200])
+    @pytest.mark.parametrize("lead", [(), (4,)])
+    def test_byte_string_sort_is_the_void_sort(self, t, lead):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            d = int(rng.integers(1, 25))
+            frames = adversarial_rows(rng, lead, t, d)
+            dictionary, log_scale = rng.normal(size=(3, d)), rng.normal(size=3)
+            with np.errstate(all="ignore"):
+                _, cache = lde_pool(frames, dictionary, log_scale)
+                _, ref_cache = void_sort_lde_pool(frames, dictionary, log_scale)
+            assert np.array_equal(cache[0], ref_cache[0]), (seed, d)
+
+    @pytest.mark.parametrize("floor", ["default", "none"])
+    @pytest.mark.parametrize("k", [*range(1, 18), 64, 127, 128, 129, 136, 200, 300])
+    def test_sum_helpers_are_numpys_sums(self, monkeypatch, floor, k):
+        """Bit for bit, signed zeros included, over 2-D and stacked leading
+        axes; ``none`` takes the column path at every size."""
+        if floor == "none":
+            monkeypatch.setattr(model_mod, "_SUM_ROWS", 0)
+        rng = np.random.default_rng(k)
+        for lead in [(1,), (7,), (300,), (3, 5), (4, 90), (2, 3, 50)]:
+            shape = (*lead, k)
+            x = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 12, size=shape)
+            draw = rng.random(shape)
+            x[draw < 0.2] = 0.0
+            x[draw > 0.8] = -0.0
+            x.reshape(-1, k)[::4] = -0.0  # rows that sum to -0.0 term by term
+            got, want = model_mod._sum_last(x), x.sum(axis=-1, keepdims=True)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), ("K", lead)
+            for view in (x, x[..., ::-1]):  # contiguous, and a layout that stays numpy's
+                got, want = model_mod._sum_frames(view), view.sum(axis=-2)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), ("T", lead)
+
+    @given(
+        st.sampled_from([1, 3, 8, 17]),
+        st.sampled_from([(), (1,), (5,), (2, 3)]),
+        st.sampled_from([1, 2, 9, 60, 200]),
+        st.integers(min_value=1, max_value=24),
+        st.sampled_from(["on", "near", "far", "inf", "adversarial"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(k=8, lead=(104,), t=60, d=24, place="on", seed=1)  # the adapt shape
+    @example(k=8, lead=(20,), t=200, d=24, place="near", seed=2)  # an eval-wide pooling chunk
+    @settings(max_examples=150, deadline=None)
+    def test_bit_equal_to_the_void_sort_form(self, k, lead, t, d, place, seed):
+        rng = np.random.default_rng(seed)
+        if place == "adversarial":
+            frames = adversarial_rows(rng, lead, t, d)
+        else:
+            frames = np.maximum(rng.normal(size=(*lead, t, d)), 0.0)
+            frames.reshape(-1, d)[1::3] = frames.reshape(-1, d)[0]
+        dictionary = frames.reshape(-1, d)[rng.integers(0, frames.size // d, size=k)]
+        log_scale = 3.0 * rng.normal(size=k)
+        if place == "inf":
+            log_scale[0] = 1000.0
+        with np.errstate(all="ignore"):
+            if place in ("near", "adversarial"):
+                dictionary = dictionary + 0.1 * rng.normal(size=(k, d))
+            elif place == "far":
+                dictionary = dictionary + 3.0 * rng.normal(size=(k, d))
+            out, cache = lde_pool(frames, dictionary, log_scale)
+            ref, ref_cache = void_sort_lde_pool(frames, dictionary, log_scale)
+            dout = rng.normal(size=out.shape)
+            got = lde_pool_backward(dout, cache)
+            want = void_sort_lde_pool_backward(dout, ref_cache)
+        assert_same_bits(out, ref, "pooled")
+        for name, a, b in zip(("dframes", "ddict", "dlog_scale"), got, want):
+            assert_same_bits(a, b, name)
+        for i, (a, b) in enumerate(zip(cache, ref_cache)):
+            assert_same_bits(a, b, f"cache[{i}]")
 
 
 class TestBatchComposition:
