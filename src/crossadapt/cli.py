@@ -114,7 +114,7 @@ def cmd_report(args) -> int:
         for d, base, eer, rd in compare_domains(adapted, baseline):
             rd = "n/a" if rd is None else f"{rd:.10g}"
             lines.append(f"domain=d{d} baseline_eer={base:.10g} adapted_eer={eer:.10g} rd={rd}\n")
-        write_artifact(args.out, "".join(lines).encode("utf-8"), "comparison")
+        write_artifact(args.out, ["".join(lines).encode("utf-8")], "comparison")
     return 0
 
 

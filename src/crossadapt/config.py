@@ -14,13 +14,13 @@ import contextlib
 import copy
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import yaml
 
 from .corpus import DOMAIN_KINDS, CorpusConfig, DomainSpec
 from .errors import ContractError
+from .fileio import read_text
 from .model import STAGES, ExtractorConfig, LdeConfig, ModelConfig, SubnetConfig
 from .numkit import ScheduleConfig
 
@@ -269,10 +269,10 @@ def load_config(path=None, sets=None, seed=None) -> AppConfig:
     raw = {}
     try:
         if path is not None:
-            raw = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+            raw = yaml.safe_load(read_text(path, "config")) or {}
             if not isinstance(raw, dict):
                 raise ContractError(f"{path} does not hold a config mapping")
         raw = apply_overrides(raw, sets, seed)
-    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+    except yaml.YAMLError as exc:
         raise ContractError(f"cannot load config: {exc}") from exc
     return build_config(raw)

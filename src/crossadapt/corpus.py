@@ -38,7 +38,7 @@ from .errors import (
     StructuralError,
     TruncatedFileError,
 )
-from .fileio import read_sized, write_artifact
+from .fileio import read_sized, read_text, write_artifact
 from .rng import substream
 
 FEATURE_MAGIC = b"XDAF"
@@ -173,21 +173,16 @@ class CorpusManifest:
         return out
 
     def save(self, path) -> None:
-        path = Path(path)
         lines = [f"#crossadapt-corpus\tseed={self.seed}\tfingerprint={self.fingerprint}\n"]
         for r in self.records:
             lines.append(
                 f"{r.utt_id}\t{r.speaker_id}\t{r.domain_id}\t{r.split}\t{r.relpath}\t{r.frames}\n"
             )
-        write_artifact(path, "".join(lines).encode("utf-8"), "corpus manifest")
+        write_artifact(path, ["".join(lines).encode("utf-8")], "corpus manifest")
 
     @classmethod
     def load(cls, path) -> "CorpusManifest":
-        path = Path(path)
-        try:
-            lines = path.read_text(encoding="utf-8").splitlines()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise FileFormatError(f"cannot read corpus manifest {path}: {exc}") from exc
+        lines = read_text(path, "corpus manifest").splitlines()
         if not lines or not lines[0].startswith("#crossadapt-corpus"):
             raise FileFormatError(f"{path} is not a corpus manifest")
         try:
@@ -289,12 +284,8 @@ def write_features(path, features) -> None:
         raise StructuralError("features must be a nonempty [T x D] matrix")
     if not np.all(np.isfinite(features)):
         raise ContractError("refusing to write non-finite features")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(FEATURE_MAGIC + struct.pack("<III", FEATURE_VERSION, *features.shape))
-            fh.write(features)
-    except OSError as exc:
-        raise FileFormatError(f"cannot write feature file {path}: {exc}") from exc
+    header = FEATURE_MAGIC + struct.pack("<III", FEATURE_VERSION, *features.shape)
+    write_artifact(path, [header, features], "feature file")
 
 
 def _read(path, body: bool):

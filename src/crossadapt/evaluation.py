@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .corpus import CorpusManifest
 from .errors import ContractError, FileFormatError, StructuralError, UnknownDomainError
-from .fileio import write_artifact
+from .fileio import read_text, write_artifact
 from .model import STAGES
 
 __all__ = [
@@ -279,14 +278,11 @@ def write_report(path, report: EvalReport) -> None:
     lines = [f"checkpoint={report.checkpoint} stage={report.stage}\n"]
     for d in sorted(report.domains, key=lambda d: d.domain_id):
         lines.append(f"domain=d{d.domain_id} eer={d.eer:.10g} trials={d.n_trials} targets={d.n_targets}\n")
-    write_artifact(path, "".join(lines).encode("utf-8"), "evaluation report")
+    write_artifact(path, ["".join(lines).encode("utf-8")], "evaluation report")
 
 
 def read_report(path) -> EvalReport:
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FileFormatError(f"cannot read evaluation report {path}: {exc}") from exc
+    lines = read_text(path, "evaluation report").splitlines()
     if not lines or not lines[0].startswith("checkpoint="):
         raise FileFormatError(f"{path} is not an evaluation report")
     # the checkpoint id, a file stem, may hold spaces and '=': it runs up to the last " stage="

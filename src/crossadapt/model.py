@@ -43,7 +43,6 @@ backprop; the tests check every backward here against central differences.
 
 import functools
 import hashlib
-import io
 import itertools
 import math
 import re
@@ -60,9 +59,10 @@ from .errors import (
     FingerprintMismatchError,
     NumericError,
     StructuralError,
+    TruncatedFileError,
     UnknownDomainError,
 )
-from .fileio import open_artifact, read_exact, write_artifact
+from .fileio import read_sized, write_artifact
 from .numkit import ParamGroup
 from .rng import substream
 
@@ -893,63 +893,67 @@ def save_checkpoint(path, model: Model, stage: str, step: int) -> None:
         raise ContractError(f"unknown stage {stage!r}")
     tensors = dict(model.params)
     tensors[_ARCH_TENSOR] = _arch_vector(model.config)
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<I", CHECKPOINT_VERSION))
-    buf.write(struct.pack("<B", _STAGE_BYTE[stage]))
-    buf.write(struct.pack("<Q", int(step)))
-    buf.write(struct.pack("<I", len(tensors)))
+    parts = [CHECKPOINT_MAGIC,
+             struct.pack("<IBQI", CHECKPOINT_VERSION, _STAGE_BYTE[stage], int(step), len(tensors))]
     for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name], dtype="<f4")
         if not np.all(np.isfinite(arr)):
             raise NumericError(f"refusing to save non-finite tensor {name}")
         encoded = name.encode("utf-8")
-        buf.write(struct.pack("<H", len(encoded)))
-        buf.write(encoded)
-        buf.write(struct.pack("<B", arr.ndim))
-        for d in arr.shape:
-            buf.write(struct.pack("<I", d))
-        buf.write(arr.tobytes())
-    buf.write(model.config.fingerprint())
-    write_artifact(path, buf.getvalue(), "checkpoint")
+        parts += [struct.pack("<H", len(encoded)), encoded,
+                  struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape), arr]
+    parts.append(model.config.fingerprint())
+    write_artifact(path, parts, "checkpoint")
 
 
 def load_checkpoint(path):
     """Read a checkpoint; returns ``(Model, CheckpointMeta)``.
 
-    The stored fingerprint is verified against the architecture embedded in
-    the file.
+    The file is read whole and parsed with a cursor that refuses a length
+    past its end.  The stored fingerprint is verified against the
+    architecture embedded in the file.
     """
-    with open_artifact(path, "checkpoint") as fh:
-        if read_exact(fh, 4, "magic") != CHECKPOINT_MAGIC:
-            raise BadMagicError("not a checkpoint file (bad magic)")
-        (version,) = struct.unpack("<I", read_exact(fh, 4, "version"))
-        if version != CHECKPOINT_VERSION:
-            raise BadVersionError(f"unsupported checkpoint version {version}")
-        (stage_byte,) = struct.unpack("<B", read_exact(fh, 1, "stage"))
-        if stage_byte >= len(STAGES):
-            raise FileFormatError(f"unknown stage byte {stage_byte}")
-        (step,) = struct.unpack("<Q", read_exact(fh, 8, "step"))
-        (count,) = struct.unpack("<I", read_exact(fh, 4, "tensor count"))
-        tensors = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", read_exact(fh, 2, "tensor name length"))
-            try:
-                name = read_exact(fh, name_len, "tensor name").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FileFormatError(f"checkpoint tensor name is not UTF-8: {exc}") from exc
-            if name in tensors:
-                raise FileFormatError(f"checkpoint lists tensor {name} twice")
-            (rank,) = struct.unpack("<B", read_exact(fh, 1, "tensor rank"))
-            dims = [struct.unpack("<I", read_exact(fh, 4, "tensor dims"))[0] for _ in range(rank)]
-            payload = read_exact(fh, 4 * math.prod(dims), f"tensor {name} payload")
-            try:  # numpy refuses over 64 dims, or a shape whose size overflows
-                tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float64)
-            except ValueError as exc:
-                raise FileFormatError(f"checkpoint tensor {name} has no usable shape: {exc}") from exc
-        stored_fp = read_exact(fh, 16, "fingerprint")
-        if fh.read(1):
-            raise FileFormatError("trailing bytes after checkpoint fingerprint")
+    blob = read_sized(path, "checkpoint")[1]
+    pos = 0
+
+    def take(n, what):
+        nonlocal pos
+        if n > len(blob) - pos:
+            raise TruncatedFileError(f"{path}: {what} needs {n} bytes, {len(blob) - pos} remain")
+        pos += n
+        return blob[pos - n : pos]
+
+    def unpack(fmt, what):
+        return struct.unpack(fmt, take(struct.calcsize(fmt), what))
+
+    if take(4, "magic") != CHECKPOINT_MAGIC:
+        raise BadMagicError("not a checkpoint file (bad magic)")
+    (version,) = unpack("<I", "version")
+    if version != CHECKPOINT_VERSION:
+        raise BadVersionError(f"unsupported checkpoint version {version}")
+    (stage_byte,) = unpack("<B", "stage")
+    if stage_byte >= len(STAGES):
+        raise FileFormatError(f"unknown stage byte {stage_byte}")
+    step, count = unpack("<QI", "step and tensor count")
+    tensors = {}
+    for _ in range(count):
+        (name_len,) = unpack("<H", "tensor name length")
+        try:
+            name = str(take(name_len, "tensor name"), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"checkpoint tensor name is not UTF-8: {exc}") from exc
+        if name in tensors:
+            raise FileFormatError(f"checkpoint lists tensor {name} twice")
+        (rank,) = unpack("<B", "tensor rank")
+        dims = unpack(f"<{rank}I", "tensor dims")
+        payload = take(4 * math.prod(dims), f"tensor {name} payload")
+        try:  # numpy refuses over 64 dims, or a shape whose size overflows
+            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float64)
+        except ValueError as exc:
+            raise FileFormatError(f"checkpoint tensor {name} has no usable shape: {exc}") from exc
+    stored_fp = bytes(take(16, "fingerprint"))
+    if pos != len(blob):
+        raise FileFormatError("trailing bytes after checkpoint fingerprint")
     if _ARCH_TENSOR not in tensors:
         raise FileFormatError("checkpoint lacks its architecture record")
     config = _config_from_arch(tensors.pop(_ARCH_TENSOR))

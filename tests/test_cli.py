@@ -85,6 +85,16 @@ def chain(root, cfg):
     return paths, steps
 
 
+def run_capped(argv):
+    """The CLI run on ``argv`` in a child process held to 1 GiB of address
+    space and 10 s, so an input read without end, or an open that blocks,
+    fails the test and not the host."""
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from crossadapt.cli import main; sys.exit(main(sys.argv[1:]))")
+    return subprocess.run([sys.executable, "-c", code, "-q", *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1"), timeout=10)
+
+
 @pytest.fixture(scope="module")
 def env(tmp_path_factory):
     """Run the whole subcommand chain once on a desk-sized config."""
@@ -340,21 +350,24 @@ class TestExitCodes:
         assert rc == 2
 
     @pytest.mark.parametrize("command", ["pretrain", "finetune", "adapt", "evaluate"])
-    @pytest.mark.parametrize("damage", ["missing", "unreadable", "directory", "truncated",
+    @pytest.mark.parametrize("damage", ["missing", "unreadable", "directory", "fifo", "truncated",
                                         "oversized", "trailing", "magic", "version", "misframed"])
     def test_bad_feature_file_exits_2(self, env, tmp_path, monkeypatch, command, damage):
         """A clean train file every command reads, damaged each way the
         reader refuses: each command exits 2 and writes nothing.  A
         misframed file is whole, but its header counts one frame fewer than
-        the records that name it declare."""
+        the records that name it declare.  A FIFO without a writer would
+        block the open, so that command runs capped in a child process."""
         corpus = tmp_path / "corpus"
         shutil.copytree(env["corpus"], corpus)
         victim = feature_file(corpus, "s000_u000_d0")
         raw = victim.read_bytes()
-        if damage in ("missing", "directory"):
+        if damage in ("missing", "directory", "fifo"):
             victim.unlink()
             if damage == "directory":
                 victim.mkdir()
+            elif damage == "fifo":
+                os.mkfifo(victim)
         elif damage == "unreadable":
             # a mode bit does not stop every user, so the open is refused here
             real_open = os.open
@@ -382,8 +395,37 @@ class TestExitCodes:
             "adapt": ["adapt", *conf, "--init", str(env["ft"])],
             "evaluate": ["evaluate", "--ckpt", str(env["ft"]), "--corpus", str(corpus)],
         }[command]
-        assert main(["-q", *argv, "--out", str(tmp_path / "x.out")]) == 2
+        argv += ["--out", str(tmp_path / "x.out")]
+        assert (run_capped(argv).returncode if damage == "fifo" else main(["-q", *argv])) == 2
         assert not (tmp_path / "x.out").exists()
+
+    @pytest.mark.parametrize("case", ["manifest-dev-zero", "manifest-fifo", "ckpt-fifo", "baseline-dev-zero",
+                                      "config-dev-zero"])
+    def test_input_that_is_not_a_regular_file_exits_2(self, env, tmp_path, case):
+        """A device reads without end and a FIFO without a writer blocks its
+        open: each is refused (exit 2) and nothing is written.  The command
+        runs capped in a child process."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(env["corpus"], corpus)
+        manifest, fifo = corpus / "manifest.tsv", tmp_path / "fifo"
+        if case.startswith("manifest"):
+            manifest.unlink()
+        if case == "manifest-dev-zero":
+            manifest.symlink_to("/dev/zero")
+        elif case.endswith("fifo"):
+            os.mkfifo(manifest if case == "manifest-fifo" else fifo)
+        conf = ["--config", str(env["config"]), "--corpus", str(corpus)]
+        argv = {
+            "manifest-dev-zero": ["pretrain", *conf],
+            "manifest-fifo": ["pretrain", *conf],
+            "ckpt-fifo": ["evaluate", "--ckpt", str(fifo), "--corpus", str(corpus)],
+            "baseline-dev-zero": ["report", "--baseline", "/dev/zero", "--adapted", str(env["ad_rep"])],
+            "config-dev-zero": ["gen-corpus", "--config", "/dev/zero"],
+        }[case]
+        before = sorted(tmp_path.rglob("*"))
+        done = run_capped([*argv, "--out", str(tmp_path / "x.out")])
+        assert (done.returncode, "is not a regular file" in done.stderr) == (2, True), done.stderr
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("command,victim", [("pretrain", "d1/train"), ("finetune", "d0/train"),
                                                 ("adapt", "d1/train"), ("evaluate", "d1/test")])

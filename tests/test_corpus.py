@@ -112,7 +112,7 @@ class TestFeatureFiles:
 
     @pytest.mark.parametrize("reader", [read_features, read_feature_header])
     def test_directory_is_format_error(self, tmp_path, reader):
-        """A directory opens like a file; the read that follows fails."""
+        """A directory opens like a file, but is not a regular one."""
         (tmp_path / "dir.xdaf").mkdir()
         with pytest.raises(FileFormatError):
             reader(tmp_path / "dir.xdaf")
@@ -151,6 +151,18 @@ class TestFeatureFiles:
             except FileFormatError:
                 pass
         assert len(os.listdir(fds)) == before
+
+    def test_a_body_longer_than_one_read_loads(self, tmp_path, rng, monkeypatch):
+        """Linux returns at most 2 GiB - 4 KiB from one read, so a larger
+        body takes several.  With each read cut to 4 KiB a 48 KB payload
+        takes twelve, into one read-only buffer."""
+        frames = rng.normal(size=(600, 20)).astype(np.float32)
+        write_features(tmp_path / "f.xdaf", frames)
+        read, readv, cap = os.read, os.readv, 4096
+        monkeypatch.setattr(os, "read", lambda fd, n: read(fd, min(n, cap)))
+        monkeypatch.setattr(os, "readv", lambda fd, bufs: readv(fd, [memoryview(bufs[0])[:cap]]))
+        back = read_features(tmp_path / "f.xdaf")
+        assert back.tobytes() == frames.tobytes() and not back.flags.writeable
 
     def test_non_finite_rejected(self, tmp_path):
         with pytest.raises(ContractError):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from crossadapt import fileio
 from crossadapt import model as model_mod
+from crossadapt.corpus import FEATURE_MAGIC, write_features
 from crossadapt.errors import (
     BadMagicError,
     BadVersionError,
@@ -1157,20 +1158,25 @@ class TestCheckpoints:
                 save_checkpoint(tmp_path / name, micro_model, "pretrain", 1)
         assert [p.name for p in tmp_path.iterdir()] == ["adir"]  # no temporary file left
 
-    def test_failed_write_keeps_previous_file(self, micro_model, tmp_path, monkeypatch):
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(path, micro_model, "pretrain", 1)
+    @pytest.mark.parametrize("artifact", ["checkpoint", "features"])
+    def test_failed_write_keeps_previous_file(self, micro_model, tmp_path, monkeypatch, artifact):
+        path = tmp_path / "m.out"
+        write, magic = {
+            "checkpoint": (lambda step: save_checkpoint(path, micro_model, "adapt", step), b"XDCK"),
+            "features": (lambda step: write_features(path, np.full((3, 2), step, np.float32)), FEATURE_MAGIC),
+        }[artifact]
+        write(1)
         before = path.read_bytes()
 
         def crash(src, dst):
-            assert Path(src).read_bytes()[:4] == b"XDCK"  # the new bytes are on disk
+            assert Path(src).read_bytes()[:4] == magic  # the new bytes are on disk
             raise OSError("simulated crash before the rename")
 
         monkeypatch.setattr(fileio.os, "replace", crash)
         with pytest.raises(FileFormatError):
-            save_checkpoint(path, micro_model, "adapt", 2)
+            write(2)
         assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+        assert [p.name for p in tmp_path.iterdir()] == ["m.out"]
 
     def test_every_truncation_is_a_format_error(self, generic_model, tmp_path):
         path = tmp_path / "m.ckpt"
